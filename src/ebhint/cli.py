@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .diagnostics import Diagnostic
-from .model import Hint, Model, PoSet, ProofObligation
+from .model import Model, PoSet
 from .parser import load_model
 from .pog import apply_hints_pog, check_new_events, generate
 from .printer import print_formula
@@ -68,17 +68,6 @@ def _obligations(path: str, hint_mode: str) -> tuple[Model, PoSet]:
         for d in hint_diags:
             click.echo(d.render(), err=True)
     return model, poset
-
-
-def _event_hints(model: Model, po: ProofObligation) -> tuple[Hint, ...]:
-    if po.origin.event is None:
-        return ()
-    event = model.machine.event(po.origin.event)
-    if event is None:
-        init = model.machine.initialisation
-        if init is not None and init.name == po.origin.event:
-            event = init
-    return event.hints if event is not None else ()
 
 
 @click.group()
@@ -166,7 +155,7 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
     options = ProveOptions(lasso=lasso, all_hyps=all_hyps, timeout_ms=timeout_ms)
     results: list[tuple[ProofResult, float]] = []
     for po in poset.obligations:
-        hints = _event_hints(model, po) if hint_mode == "tactic" else ()
+        hints = model.machine.event_hints(po.origin.event) if hint_mode == "tactic" else ()
         start = time.perf_counter()
         result = prove_obligation(po, hints, mode=hint_mode, options=options)
         results.append((result, (time.perf_counter() - start) * 1000.0))
@@ -204,7 +193,11 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
                 "unsupported": unsupported,
             },
         }
-        Path(json_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        try:
+            Path(json_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(2)
 
     raise SystemExit(0 if proved == total else 1)
 

@@ -8,6 +8,7 @@ equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Iterator
 
 from .formula import Formula, Ident, Loc, Predicate
@@ -119,12 +120,21 @@ class Machine:
                 return e
         return None
 
+    def event_hints(self, name: str | None) -> tuple[Hint, ...]:
+        """The hints of the event called ``name``, the initialisation
+        included; none when there is no such event."""
+        for e in self.events + ((self.initialisation,) if self.initialisation else ()):
+            if e.name == name:
+                return e.hints
+        return ()
+
     def invariant_labels(self) -> tuple[str, ...]:
         return tuple(i.label for i in self.invariants)
 
     def without_hints(self) -> "Machine":
+        init = self.initialisation and replace(self.initialisation, hints=())
         events = tuple(replace(e, hints=()) for e in self.events)
-        return replace(self, events=events)
+        return replace(self, events=events, initialisation=init)
 
 
 @dataclass(frozen=True)
@@ -228,6 +238,13 @@ class Sequent:
 
     def with_goal(self, goal: Predicate) -> "Sequent":
         return Sequent(self.hypotheses, goal)
+
+    def fresh_label(self, base: str, primed: bool = False) -> str:
+        """The first of ``base1``, ``base2``, ... (with ``primed``:
+        ``base``, ``base'``, ``base''``, ...) that no hypothesis uses."""
+        taken = set(self.labels())
+        spellings = (base + ("'" * n if primed else str(n + 1)) for n in count())
+        return next(label for label in spellings if label not in taken)
 
 
 @dataclass(frozen=True)

@@ -599,6 +599,15 @@ def _ref_diag(code: str, message: str, path: str) -> Diagnostic:
     return Diagnostic(code, message, None, path)
 
 
+def _read(path: Path) -> str:
+    """The text of a model file; a file that is not UTF-8 raises
+    ``OSError`` like one that cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OSError(f"{path}: not a UTF-8 text file ({e.reason} at byte {e.start})") from e
+
+
 class _Loader:
     """Resolves sees / refines / extends by file name, with cycle detection."""
 
@@ -611,7 +620,7 @@ class _Loader:
         if path in self.cache:
             return self.cache[path]
         try:
-            text = path.read_text(encoding="utf-8")
+            text = _read(path)
         except OSError as e:
             self.diagnostics.append(_ref_diag("unresolved-reference", str(e), str(path)))
             self.cache[path] = None
@@ -694,10 +703,10 @@ def load_model(path: str | Path) -> tuple[Model | None, list[Diagnostic]]:
     A context file is wrapped in a model whose machine is empty and named
     after the context, so checking and theorem-obligation generation work
     uniformly.  Problems in referenced files become diagnostics; an
-    unreadable ``path`` itself raises ``OSError``.
+    unreadable or non-UTF-8 ``path`` itself raises ``OSError``.
     """
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    text = _read(p)
     component, diags = try_parse(text, str(p))
     if component is None:
         return None, diags

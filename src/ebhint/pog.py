@@ -3,8 +3,9 @@
 Builds the obligation set for a machine: invariant preservation (INV),
 theorems (THM), and for refinements guard strengthening (GRD), action
 simulation (SIM), witness feasibility (WFIS) and merge correctness
-(MRG).  Also hosts the hint interpreter that rewrites obligations ahead
-of proving (`apply_hints_pog`) and the normalisation step used when
+(MRG).  Also hosts the hint interpreter (`apply_hint`), which the
+prover runs as a tactic and `apply_hints_pog` runs to rewrite the
+obligations ahead of proving, and the normalisation step used when
 exporting sequents.
 """
 
@@ -312,8 +313,8 @@ def _invariant_pos(model: Model, event: Event) -> list[ProofObligation]:
 def generate(model: Model) -> PoSet:
     """All proof obligations for the model's machine, in a fixed order.
 
-    Hints are ignored here; they are applied either by
-    `apply_hints_pog` or by the prover's tactic interpreter.
+    Hints are ignored here; `apply_hint` applies them, either through
+    `apply_hints_pog` or as a tactic of the prover.
     """
     m = model.machine
     pos: list[ProofObligation] = []
@@ -333,7 +334,7 @@ def generate(model: Model) -> PoSet:
     return PoSet(m.name, "tactic", tuple(pos))
 
 
-# --- hint application (pog mode) ---------------------------------------------
+# --- hint application ---------------------------------------------------------
 
 
 def describe_hint(hint: Hint) -> str:
@@ -343,26 +344,19 @@ def describe_hint(hint: Hint) -> str:
     return f"split case using {print_formula(hint.predicate)} for {hint.target}"
 
 
-def _hint_for(model: Model, po: ProofObligation) -> Hint | None:
-    if po.kind != KIND_INV or po.origin.event is None or po.origin.label is None:
+def obligation_hint(po: ProofObligation, hints: tuple[Hint, ...]) -> Hint | None:
+    """The hint among ``hints`` (those of the obligation's event) that
+    applies to the obligation: only invariant preservation takes hints,
+    matched on the invariant's label."""
+    if po.kind != KIND_INV:
         return None
-    event = model.machine.event(po.origin.event)
-    if event is None and model.machine.initialisation is not None:
-        if model.machine.initialisation.name == po.origin.event:
-            event = model.machine.initialisation
-    if event is None:
-        return None
-    for h in event.hints:
-        if h.target == po.origin.label:
-            return h
-    return None
+    return next((h for h in hints if h.target == po.origin.label), None)
 
 
-def _unique_label(base: str, taken: tuple[str, ...]) -> str:
-    label = base
-    while label in taken:
-        label += "'"
-    return label
+def tactic_select(sequent: Sequent, label: str) -> Sequent | None:
+    if sequent.get(label) is None:
+        return None
+    return sequent.select({label})
 
 
 def case_sequents(sequent: Sequent, predicate: Predicate) -> tuple[Sequent, Sequent]:
@@ -377,33 +371,38 @@ def case_sequents(sequent: Sequent, predicate: Predicate) -> tuple[Sequent, Sequ
         h if h.selected or not (free_identifiers(h.predicate) & shared) else replace(h, selected=True)
         for h in sequent.hypotheses
     )
-    labels = tuple(h.label for h in hyps)
-    pos = Hypothesis(_unique_label("case+", labels), predicate, selected=True)
-    neg = Hypothesis(_unique_label("case-", labels), Not(predicate), selected=True)
+    pos = Hypothesis(sequent.fresh_label("case+", primed=True), predicate, selected=True)
+    neg = Hypothesis(sequent.fresh_label("case-", primed=True), Not(predicate), selected=True)
     return (
         Sequent(hyps + (pos,), sequent.goal),
         Sequent(hyps + (neg,), sequent.goal),
     )
 
 
-def apply_hints_pog(poset: PoSet, model: Model) -> tuple[PoSet, list[Diagnostic]]:
-    """Rewrite obligations according to the hints of their origin events.
+def apply_hint(sequent: Sequent, hint: Hint) -> tuple[Sequent, ...] | None:
+    """The sequents that replace ``sequent`` under a hint: a use hint
+    widens the selection by its label (`tactic_select`), a split hint
+    gives the two `case_sequents`.  None when the used label is not a
+    hypothesis."""
+    if hint.kind == USE_HYPOTHESIS:
+        assert hint.label is not None
+        selected = tactic_select(sequent, hint.label)
+        return None if selected is None else (selected,)
+    assert hint.predicate is not None
+    return case_sequents(sequent, hint.predicate)
 
-    A use hint widens the selection; a split hint replaces the
-    obligation by two case children whose extra hypothesis is the case
-    predicate (resp. its negation), additionally selecting every
-    hypothesis that shares an identifier with it.
-    """
+
+def apply_hints_pog(poset: PoSet, model: Model) -> tuple[PoSet, list[Diagnostic]]:
+    """Rewrite obligations according to the hints of their origin events
+    (see `apply_hint`); a split obligation is replaced by its case
+    children ``/case1`` and ``/case2``."""
     out: list[ProofObligation] = []
     diags: list[Diagnostic] = []
     for po in poset.obligations:
-        hint = _hint_for(model, po)
-        if hint is None:
-            out.append(po)
-            continue
-        if hint.kind == USE_HYPOTHESIS:
-            assert hint.label is not None
-            if po.sequent.get(hint.label) is None:
+        hint = obligation_hint(po, model.machine.event_hints(po.origin.event))
+        sequents = None if hint is None else apply_hint(po.sequent, hint)
+        if sequents is None:
+            if hint is not None:
                 diags.append(
                     Diagnostic(
                         "unresolved-hint-label",
@@ -411,15 +410,12 @@ def apply_hints_pog(poset: PoSet, model: Model) -> tuple[PoSet, list[Diagnostic]
                         hint.loc,
                     )
                 )
-                out.append(po)
-                continue
-            seq = po.sequent.select({hint.label})
-            out.append(replace(po, sequent=seq, hint_applied=describe_hint(hint)))
-            continue
-        assert hint.predicate is not None
-        described = describe_hint(hint)
-        for suffix, seq in zip(("/case1", "/case2"), case_sequents(po.sequent, hint.predicate)):
-            out.append(ProofObligation(po.name + suffix, po.kind, seq, po.origin, described))
+            out.append(po)
+        elif len(sequents) == 1:
+            out.append(replace(po, sequent=sequents[0], hint_applied=describe_hint(hint)))
+        else:
+            for suffix, seq in zip(("/case1", "/case2"), sequents):
+                out.append(ProofObligation(po.name + suffix, po.kind, seq, po.origin, describe_hint(hint)))
     return PoSet(poset.source_machine, "pog", tuple(out)), diags
 
 

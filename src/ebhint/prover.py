@@ -10,7 +10,8 @@ negated goal.  Membership is elaborated into arithmetic (memberships in
 declared carrier sets stay opaque), the result is put in negation
 normal form over linear atoms, all propositional branches are
 enumerated, and each branch is checked with Fourier-Motzkin elimination
-over rationals with integer bound tightening.  The procedure is sound
+over the integers: every row keeps integer coefficients, divided by
+their gcd with the bound rounded down.  The procedure is sound
 but incomplete: PROVED is trustworthy, UNPROVED may just mean "too
 hard", and counterexamples are only reported when they check out
 against the selected hypotheses.
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable
 
 from .formula import (
@@ -56,13 +56,12 @@ from .formula import (
 from .model import (
     Hint,
     Hypothesis,
-    KIND_INV,
     ProofObligation,
-    SPLIT_CASE,
     Sequent,
     USE_HYPOTHESIS,
 )
-from .pog import case_sequents, describe_hint
+# case_sequents and tactic_select are the hint tactics, public here as well
+from .pog import apply_hint, case_sequents, describe_hint, obligation_hint, tactic_select  # noqa: F401
 from .printer import print_formula
 
 PROVED = "proved"
@@ -156,15 +155,12 @@ def _linear(e: Formula) -> tuple[dict[str, int], int]:
 
 def _atom(diff_coeffs: dict[str, int], bound: int):
     """Normalised leaf for sum(coeffs) <= bound; constant atoms fold."""
-    coeffs = {k: v for k, v in diff_coeffs.items() if v != 0}
-    if not coeffs:
-        return ("true",) if 0 <= bound else ("false",)
-    g = math.gcd(*coeffs.values())
-    if g > 1:
-        coeffs = {k: v // g for k, v in coeffs.items()}
-        bound = math.floor(Fraction(bound, g))
-    key = ("lin", tuple(sorted(coeffs.items())), bound)
-    return ("lit", key, True)
+    tightened = _tighten(diff_coeffs, bound)
+    if tightened is None:
+        return ("true",)
+    if not tightened[0]:
+        return ("false",)
+    return ("lit", ("lin",) + tightened, True)
 
 
 def _le(a: Formula, b: Formula, offset: int = 0):
@@ -349,26 +345,18 @@ def _solve(tree, assignment: dict, search: _Search):
 
 # --- Fourier-Motzkin ----------------------------------------------------------
 
-_Constraint = tuple[tuple[tuple[str, Fraction], ...], Fraction]
+_Constraint = tuple[tuple[tuple[str, int], ...], int]
 
 
-def _tighten(coeffs: dict[str, Fraction], bound: Fraction) -> _Constraint | None:
-    """Scale to integer coefficients, divide by their gcd and floor the
-    bound; all variables range over the integers.  Returns None for a
-    trivially true constraint."""
+def _tighten(coeffs: dict[str, int], bound: int) -> _Constraint | None:
+    """Divide by the gcd of the coefficients and floor the bound; all
+    variables range over the integers.  Returns None for a trivially
+    true constraint."""
     coeffs = {k: v for k, v in coeffs.items() if v != 0}
     if not coeffs:
         return ((), bound) if bound < 0 else None
-    lcm = 1
-    for v in coeffs.values():
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    scaled = {k: v * lcm for k, v in coeffs.items()}
-    bound = bound * lcm
-    g = math.gcd(*(int(v) for v in scaled.values()))
-    if g > 1:
-        scaled = {k: v / g for k, v in scaled.items()}
-        bound = Fraction(math.floor(bound / g))
-    return tuple(sorted(scaled.items())), Fraction(math.floor(bound))
+    g = math.gcd(*coeffs.values())
+    return tuple(sorted((k, v // g) for k, v in coeffs.items())), bound // g
 
 
 def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] | None]:
@@ -378,9 +366,9 @@ def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] |
             continue
         _, coeffs, bound = key
         if value:
-            c = _tighten({k: Fraction(v) for k, v in coeffs}, Fraction(bound))
+            c = _tighten(dict(coeffs), bound)
         else:
-            c = _tighten({k: Fraction(-v) for k, v in coeffs}, Fraction(-bound - 1))
+            c = _tighten({k: -v for k, v in coeffs}, -bound - 1)
         if c is not None:
             if not c[0]:
                 return False, None
@@ -394,7 +382,7 @@ def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] |
         stages.append((name, current))
         lowers, uppers, rest = [], [], set()
         for coeffs, bound in current:
-            a = dict(coeffs).get(name, Fraction(0))
+            a = dict(coeffs).get(name, 0)
             if a > 0:
                 uppers.append((dict(coeffs), bound, a))
             elif a < 0:
@@ -403,11 +391,11 @@ def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] |
                 rest.add((coeffs, bound))
         for lc, lb, la in lowers:
             for uc, ub, ua in uppers:
-                combined: dict[str, Fraction] = {}
+                combined: dict[str, int] = {}
                 for k, v in uc.items():
-                    combined[k] = combined.get(k, Fraction(0)) + v * -la
+                    combined[k] = combined.get(k, 0) + v * -la
                 for k, v in lc.items():
-                    combined[k] = combined.get(k, Fraction(0)) + v * ua
+                    combined[k] = combined.get(k, 0) + v * ua
                 combined.pop(name, None)
                 c = _tighten(combined, ub * -la + lb * ua)
                 if c is not None:
@@ -419,32 +407,32 @@ def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] |
     sample: dict[str, int] = {}
     exact = True
     for name, cons in reversed(stages):
-        lo: Fraction | None = None
-        hi: Fraction | None = None
+        # a * name <= rest_value bounds name by rest_value / a, rounded
+        # down for a > 0 (an upper bound) and up for a < 0 (a lower bound)
+        lo: int | None = None
+        hi: int | None = None
         for coeffs, bound in cons:
             cd = dict(coeffs)
-            a = cd.pop(name, Fraction(0))
+            a = cd.pop(name, 0)
             if a == 0:
                 continue
             rest_value = bound - sum(v * sample.get(k, 0) for k, v in cd.items())
             if a > 0:
-                limit = rest_value / a
+                limit = rest_value // a
                 hi = limit if hi is None else min(hi, limit)
             else:
-                limit = rest_value / a
+                limit = -(rest_value // -a)
                 lo = limit if lo is None else max(lo, limit)
-        low_int = None if lo is None else math.ceil(lo)
-        high_int = None if hi is None else math.floor(hi)
-        if low_int is not None and high_int is not None and low_int > high_int:
+        if lo is not None and hi is not None and lo > hi:
             exact = False
             break
-        if (low_int is None or low_int <= 0) and (high_int is None or high_int >= 0):
+        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
             sample[name] = 0
-        elif low_int is not None and low_int > 0:
-            sample[name] = low_int
+        elif lo is not None and lo > 0:
+            sample[name] = lo
         else:
-            assert high_int is not None
-            sample[name] = high_int
+            assert hi is not None
+            sample[name] = hi
     return True, (sample if exact else None)
 
 
@@ -499,14 +487,6 @@ def decide(
 # --- structural tactics -------------------------------------------------------
 
 
-def _unique(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
-    label = base
-    while label in taken:
-        label += "'"
-    return label
-
-
 def _flatten_and(p: Predicate) -> list[Predicate]:
     if isinstance(p, And):
         return _flatten_and(p.left) + _flatten_and(p.right)
@@ -557,11 +537,7 @@ def one_point(goal: Predicate) -> Predicate | None:
 def intro(sequent: Sequent) -> Sequent | None:
     if not isinstance(sequent.goal, Implies):
         return None
-    taken = set(sequent.labels())
-    n = 1
-    while f"intro{n}" in taken:
-        n += 1
-    hyp = Hypothesis(f"intro{n}", sequent.goal.left, selected=True)
+    hyp = Hypothesis(sequent.fresh_label("intro"), sequent.goal.left, selected=True)
     return Sequent(sequent.hypotheses + (hyp,), sequent.goal.right)
 
 
@@ -571,12 +547,6 @@ def split_conjunction(sequent: Sequent) -> tuple[Sequent, Sequent] | None:
     return sequent.with_goal(sequent.goal.left), sequent.with_goal(sequent.goal.right)
 
 
-def tactic_select(sequent: Sequent, label: str) -> Sequent | None:
-    if sequent.get(label) is None:
-        return None
-    return sequent.select({label})
-
-
 def tactic_cut(sequent: Sequent, predicate: Predicate) -> tuple[Sequent, Sequent]:
     """Cut: prove the predicate first, then use it.
 
@@ -584,12 +554,8 @@ def tactic_cut(sequent: Sequent, predicate: Predicate) -> tuple[Sequent, Sequent
     predicate) and the main sequent (cut predicate added as a selected
     hypothesis under a fresh label).
     """
-    taken = set(sequent.labels())
-    n = 1
-    while f"cut{n}" in taken:
-        n += 1
     side = sequent.with_goal(predicate)
-    main = sequent.add(Hypothesis(f"cut{n}", predicate, selected=True))
+    main = sequent.add(Hypothesis(sequent.fresh_label("cut"), predicate, selected=True))
     return side, main
 
 
@@ -657,6 +623,13 @@ def _close(sequent: Sequent, options: ProveOptions, deadline: float, trace: list
     return decision
 
 
+def worst_status(statuses: Iterable[str]) -> str:
+    """The verdict of several goals together: unproved if any goal is,
+    else unsupported if any goal is, else proved."""
+    statuses = set(statuses)
+    return next((s for s in (UNPROVED, UNSUPPORTED) if s in statuses), PROVED)
+
+
 def prove_obligation(
     po: ProofObligation,
     hints: tuple[Hint, ...] = (),
@@ -665,37 +638,28 @@ def prove_obligation(
 ) -> ProofResult:
     """Run the proof pipeline on one obligation.
 
-    In tactic mode, the hint whose target matches the obligation's
-    origin label is applied as a tactic; in pog mode hints are assumed
-    to be baked into the obligation already.
+    In tactic mode the obligation's hint among ``hints`` (see
+    `obligation_hint`) is applied to every leaf by `apply_hint`; in pog
+    mode hints are assumed to be baked into the obligation already.
     """
     deadline = time.perf_counter() + options.timeout_ms / 1000.0
     trace: list[TraceStep] = []
     leaves = _expand(po.sequent, trace)
     hint_applied = po.hint_applied
 
-    if mode == "tactic" and po.kind == KIND_INV:
-        hint = next((h for h in hints if h.target == po.origin.label), None)
-        if hint is not None:
+    hint = obligation_hint(po, hints) if mode == "tactic" else None
+    if hint is not None:
+        applied = [apply_hint(s, hint) for s in leaves]
+        if any(a is None for a in applied):  # only a use hint can fail
+            trace.append(TraceStep("tacticSelect", f"{hint.label} not available"))
+        else:
+            leaves = [s for a in applied if a is not None for s in a]
             if hint.kind == USE_HYPOTHESIS:
-                assert hint.label is not None
-                selected = [tactic_select(s, hint.label) for s in leaves]
-                if all(s is not None for s in selected):
-                    leaves = [s for s in selected if s is not None]
-                    trace.append(TraceStep("tacticSelect", hint.label))
-                    hint_applied = describe_hint(hint)
-                else:
-                    trace.append(TraceStep("tacticSelect", f"{hint.label} not available"))
-            elif hint.kind == SPLIT_CASE:
+                trace.append(TraceStep("tacticSelect", str(hint.label)))
+            else:
                 assert hint.predicate is not None
-                split: list[Sequent] = []
-                for s in leaves:
-                    split.extend(case_sequents(s, hint.predicate))
-                leaves = split
-                trace.append(
-                    TraceStep("tacticCase", f"{print_formula(hint.predicate)}, {len(split)} subgoals")
-                )
-                hint_applied = describe_hint(hint)
+                trace.append(TraceStep("tacticCase", f"{print_formula(hint.predicate)}, {len(leaves)} subgoals"))
+            hint_applied = describe_hint(hint)
 
     if options.all_hyps:
         leaves = [s.select(set(s.labels())) for s in leaves]
@@ -720,12 +684,7 @@ def prove_obligation(
         if counterexample is None and decision.counterexample is not None:
             counterexample = decision.counterexample
 
-    if any(s == UNPROVED for s in statuses):
-        status = UNPROVED
-    elif any(s == UNSUPPORTED for s in statuses):
-        status = UNSUPPORTED
-    else:
-        status = PROVED
+    status = worst_status(statuses)
     reason = "; ".join(dict.fromkeys(reasons)) if reasons else "no goals"
 
     selected_labels = sorted({label for s in leaves for label in s.selected_labels()})

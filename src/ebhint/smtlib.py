@@ -45,38 +45,38 @@ def _int(value: int) -> str:
     return str(value) if value >= 0 else f"(- {-value})"
 
 
-def _term(f: Formula, sets: frozenset[str]) -> str:
+def _term(f: Formula) -> str:
     if isinstance(f, IntLiteral):
         return _int(f.value)
     if isinstance(f, Ident):
         return _symbol(f.key)
     if isinstance(f, Minus):
-        return f"(- {_term(f.operand, sets)})"
+        return f"(- {_term(f.operand)})"
     if isinstance(f, (Add, Sub, Mul)):
         op = {Add: "+", Sub: "-", Mul: "*"}[type(f)]
-        return f"({op} {_term(f.left, sets)} {_term(f.right, sets)})"
+        return f"({op} {_term(f.left)} {_term(f.right)})"
     if isinstance(f, Truth):
         return "true"
     if isinstance(f, Falsity):
         return "false"
     if isinstance(f, Not):
-        return f"(not {_term(f.operand, sets)})"
+        return f"(not {_term(f.operand)})"
     if isinstance(f, (And, Or, Implies, Iff)):
         op = {And: "and", Or: "or", Implies: "=>", Iff: "="}[type(f)]
-        return f"({op} {_term(f.left, sets)} {_term(f.right, sets)})"
+        return f"({op} {_term(f.left)} {_term(f.right)})"
     if isinstance(f, Comparison):
-        left, right = _term(f.left, sets), _term(f.right, sets)
+        left, right = _term(f.left), _term(f.right)
         if f.op == "/=":
             return f"(not (= {left} {right}))"
         return f"({f.op} {left} {right})"
     if isinstance(f, Membership):
-        element = _term(f.element, sets)
+        element = _term(f.element)
         if isinstance(f.container, NatSet):
             return f"(<= 0 {element})"
         if isinstance(f.container, IntSet):
             return "true"
         if isinstance(f.container, SetLiteral):
-            eqs = [f"(= {element} {_term(e, sets)})" for e in f.container.elements]
+            eqs = [f"(= {element} {_term(e)})" for e in f.container.elements]
             if not eqs:
                 return "false"
             return eqs[0] if len(eqs) == 1 else "(or " + " ".join(eqs) + ")"
@@ -86,7 +86,7 @@ def _term(f: Formula, sets: frozenset[str]) -> str:
     if isinstance(f, Quantifier):
         kind = "exists" if f.kind == "exists" else "forall"
         binders = " ".join(f"({_symbol(b.key)} Int)" for b in f.binders)
-        return f"({kind} ({binders}) {_term(f.body, sets)})"
+        return f"({kind} ({binders}) {_term(f.body)})"
     raise ValueError(f"cannot export {f!r}")
 
 
@@ -111,19 +111,18 @@ def export_smt(po: ProofObligation, respect_selection: bool = False) -> str:
                 sets.add(node.container.key)
             elif isinstance(node, Quantifier):
                 has_quantifier = True
-    set_keys = frozenset(sets)
-    consts = sorted(set().union(*[free_identifiers(f) for f in formulas]) - set_keys)
+    consts = sorted(set().union(*[free_identifiers(f) for f in formulas]) - sets)
 
-    logic = ("" if has_quantifier else "QF_") + ("UFLIA" if set_keys else "LIA")
+    logic = ("" if has_quantifier else "QF_") + ("UFLIA" if sets else "LIA")
     lines = [f"; {po.name}", f"(set-logic {logic})"]
     for key in consts:
         lines.append(f"(declare-const {_symbol(key)} Int)")
-    for key in sorted(set_keys):
+    for key in sorted(sets):
         lines.append(f"(declare-fun {_symbol(key)} (Int) Bool)")
     for h in hyps:
         lines.append(f"; {h.label}")
-        lines.append(f"(assert {_term(h.predicate, set_keys)})")
+        lines.append(f"(assert {_term(h.predicate)})")
     lines.append("; goal")
-    lines.append(f"(assert (not {_term(sequent.goal, set_keys)}))")
+    lines.append(f"(assert (not {_term(sequent.goal)}))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

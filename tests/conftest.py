@@ -38,3 +38,17 @@ def statuses_from(output: str) -> dict[str, str]:
 @pytest.fixture
 def fixtures() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def init_split_model(tmp_path) -> Path:
+    """A machine whose only hint sits on the initialisation: without the
+    split on ``k = 1`` the unselected axiom leaves ``i1`` unproved."""
+    (tmp_path / "c0.ebh").write_text("context c0\nconstants k\naxioms\n  ax1: k in {1, 2}\nend\n")
+    path = tmp_path / "init.ebh"
+    path.write_text(
+        "machine init sees c0\nvariables x\ninvariants\n  i1: x in {2, 4}\nevents\n"
+        "  initialisation\n  then\n    a1: x := 2 * k\n"
+        "  hints\n    split case using k = 1 for i1\n  end\nend\n"
+    )
+    return path

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,15 @@ from ebhint.model import Model
 from ebhint.parser import load_model, parse_predicate
 from ebhint.pog import apply_hints_pog, generate, normalize_deterministic_ba
 from ebhint.printer import pretty_print
-from ebhint.prover import PROVED, UNPROVED, decide, prove_obligation, tactic_lasso, tactic_select
+from ebhint.prover import (
+    PROVED,
+    UNPROVED,
+    decide,
+    prove_obligation,
+    tactic_lasso,
+    tactic_select,
+    worst_status,
+)
 from oracle import grid_counterexample, holds_at
 from strategies import (
     random_machine_source,
@@ -87,44 +96,40 @@ def test_criterion_3_hints_flip_the_verdict(tmp_path):
             assert elapsed < 1.0, f"{name} {mode} took {elapsed:.2f}s"
 
 
-def _aggregated_verdicts(name: str, mode: str) -> dict[str, str]:
-    model = load(name)
+def _aggregated_verdicts(model: Model, mode: str) -> dict[str, str]:
     poset = generate(model)
     if mode == "pog":
         poset, diags = apply_hints_pog(poset, model)
         assert diags == []
 
-    def event_hints(po):
-        if po.origin.event is None:
-            return ()
-        event = model.machine.event(po.origin.event)
-        return event.hints if event is not None else ()
-
     per_root: dict[str, list[str]] = {}
     for po in poset.obligations:
-        hints = event_hints(po) if mode == "tactic" else ()
+        hints = model.machine.event_hints(po.origin.event) if mode == "tactic" else ()
         result = prove_obligation(po, hints, mode=mode)
         root = po.name
         for suffix in ("/case1", "/case2"):
             if root.endswith(suffix):
                 root = root[: -len(suffix)]
         per_root.setdefault(root, []).append(result.status)
-
-    def aggregate(statuses: list[str]) -> str:
-        if any(s == "unproved" for s in statuses):
-            return "unproved"
-        if any(s == "unsupported" for s in statuses):
-            return "unsupported"
-        return "proved"
-
-    return {root: aggregate(statuses) for root, statuses in per_root.items()}
+    return {root: worst_status(statuses) for root, statuses in per_root.items()}
 
 
 def test_criterion_4_hint_modes_agree_per_root_obligation():
     for name in FIXTURE_FILES:
-        tactic = _aggregated_verdicts(name, "tactic")
-        pog = _aggregated_verdicts(name, "pog")
+        tactic = _aggregated_verdicts(load(name), "tactic")
+        pog = _aggregated_verdicts(load(name), "pog")
         assert tactic == pog, name
+
+
+def test_criterion_4_covers_initialisation_hints(init_split_model):
+    model, diags = load_model(init_split_model)
+    assert diags == []
+    expected = {"INITIALISATION/i1/INV": "proved"}
+    assert _aggregated_verdicts(model, "tactic") == expected
+    assert _aggregated_verdicts(model, "pog") == expected
+    # the split hint is what proves it
+    bare = replace(model, machine=model.machine.without_hints())
+    assert _aggregated_verdicts(bare, "tactic") == {"INITIALISATION/i1/INV": "unproved"}
 
 
 def test_criterion_5_workaround_merge_and_split():

@@ -49,6 +49,26 @@ def test_check_missing_file_is_io_error():
     assert "error" in result.output
 
 
+def test_check_non_utf8_file_is_io_error(tmp_path):
+    bad = tmp_path / "bad.ebh"
+    bad.write_bytes(b"machine bad\n\xff\xfe\n")
+    result = run_cli("check", str(bad))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+    assert len(result.output.splitlines()) == 1
+
+
+def test_check_non_utf8_refined_machine_is_unresolved(tmp_path):
+    (tmp_path / "abs.ebh").write_bytes(b"machine abs\n\xff\xfe\n")
+    src = tmp_path / "m.ebh"
+    src.write_text("machine m refines abs\nevents\nend\n")
+    result = run_cli("check", str(src))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "unresolved-reference" in result.output
+
+
 def test_check_dangling_refinement(tmp_path):
     src = tmp_path / "m.ebh"
     src.write_text("machine m refines ghost\nevents\nend\n")
@@ -187,6 +207,15 @@ def test_prove_json_records_hints_in_both_modes(tmp_path):
         assert report["mode"] == mode
         hinted = [e for e in report["obligations"] if e["hintApplied"]]
         assert any("use hypSel0_2 for hypSel0_1" == e["hintApplied"] for e in hinted)
+
+
+def test_prove_json_into_missing_directory(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    result = run_cli("prove", str(FIXTURES / "hypSel0.ebh"), "--json", str(out))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1].startswith("error: ")
+    assert not out.exists()
 
 
 def test_prove_timeout_flag_accepted():

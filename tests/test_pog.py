@@ -15,7 +15,8 @@ from ebhint.pog import (
     generate,
     normalize_deterministic_ba,
 )
-from ebhint.printer import print_formula
+from ebhint.printer import pretty_print, print_formula
+from ebhint.prover import prove_obligation
 
 
 def event_of(source: str):
@@ -299,6 +300,54 @@ def test_apply_hints_pog_without_hints_is_identity():
     assert diags == []
     assert rewritten.obligations == poset.obligations
     assert rewritten.mode == "pog"
+
+
+# --- hints on the initialisation ----------------------------------------------
+
+
+def test_event_hints_cover_initialisation(init_split_model):
+    model, diags = load_model(init_split_model)
+    assert diags == []
+    (hint,) = model.machine.event_hints("INITIALISATION")
+    assert hint.target == "i1"
+    assert hint.predicate == parse_predicate("k = 1")
+    assert model.machine.event_hints("nope") == ()
+    assert model.machine.event_hints(None) == ()
+    machine = load("case0.ebh").machine
+    assert machine.event_hints("set") == machine.event("set").hints
+
+
+def test_without_hints_strips_initialisation_hints(init_split_model):
+    model, _ = load_model(init_split_model)
+    stripped = model.machine.without_hints()
+    assert stripped.initialisation.hints == ()
+    init_split_model.write_text(pretty_print(stripped))
+    reloaded, diags = load_model(init_split_model)
+    assert diags == []
+    poset, diags = apply_hints_pog(generate(reloaded), reloaded)
+    assert diags == []
+    assert poset.names() == ("INITIALISATION/i1/INV",)
+    assert poset.obligations[0].hint_applied is None
+
+
+def test_initialisation_use_hint_on_missing_label(tmp_path):
+    # invariants are no hypotheses of the initialisation's obligations
+    path = tmp_path / "use0.ebh"
+    path.write_text(
+        "machine use0\nvariables x y\ninvariants\n  i1: x in NAT\n  i2: y in NAT\nevents\n"
+        "  initialisation\n  then\n    a1: x := 0\n    a2: y := 0\n"
+        "  hints\n    use i2 for i1\n  end\nend\n"
+    )
+    model, diags = load_model(path)
+    assert diags == []
+    poset = generate(model)
+    po = poset.get("INITIALISATION/i1/INV")
+    result = prove_obligation(po, model.machine.event_hints(po.origin.event))
+    assert result.trace[0].render() == "tacticSelect(i2 not available)"
+    assert result.hint_applied is None
+    rewritten, diags = apply_hints_pog(poset, model)
+    assert [d.code for d in diags] == ["unresolved-hint-label"]
+    assert rewritten.get(po.name).sequent == po.sequent
 
 
 def test_case_sequents_single_round_relevance():

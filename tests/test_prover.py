@@ -219,6 +219,17 @@ def test_tactic_cut_fresh_label():
     assert main.get("cut2") is not None
 
 
+def test_fresh_label_spellings():
+    s = Sequent(
+        (Hypothesis("intro1", p("x = 0")), Hypothesis("case+", p("x = 0"))),
+        p("x = 1 => x >= 1"),
+    )
+    assert intro(s).hypotheses[-1].label == "intro2"
+    assert tactic_cut(s, p("x >= 0"))[1].hypotheses[-1].label == "cut1"
+    pos, neg = case_sequents(s, p("x = 1"))
+    assert (pos.hypotheses[-1].label, neg.hypotheses[-1].label) == ("case+'", "case-")
+
+
 # --- property tests -------------------------------------------------------------
 
 
