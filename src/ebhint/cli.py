@@ -37,6 +37,11 @@ _HINT_MODE = click.option(
 )
 
 
+def _with_path(diags: list[Diagnostic], path: str) -> list[Diagnostic]:
+    """Give diagnostics raised on an already loaded model the file's path."""
+    return [d if d.path else replace(d, path=str(Path(path))) for d in diags]
+
+
 def _load(path: str) -> tuple[Model | None, list[Diagnostic]]:
     try:
         model, diags = load_model(path)
@@ -45,7 +50,7 @@ def _load(path: str) -> tuple[Model | None, list[Diagnostic]]:
         raise SystemExit(2)
     if model is not None:
         extra = wellformed(model) + check_new_events(model)
-        diags = diags + [d if d.path else replace(d, path=str(Path(path))) for d in extra]
+        diags = diags + _with_path(extra, path)
         if extra:
             model = None
     return model, diags
@@ -65,7 +70,7 @@ def _obligations(path: str, hint_mode: str) -> tuple[Model, PoSet]:
     poset = generate(model)
     if hint_mode == "pog":
         poset, hint_diags = apply_hints_pog(poset, model)
-        for d in hint_diags:
+        for d in _with_path(hint_diags, path):
             click.echo(d.render(), err=True)
     return model, poset
 

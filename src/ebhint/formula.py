@@ -26,7 +26,7 @@ class Loc(NamedTuple):
     column: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
     """Base class of every predicate and expression node."""
 
@@ -41,40 +41,40 @@ Expression = Formula
 # --- predicate nodes -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Truth(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Falsity(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
@@ -84,20 +84,20 @@ class Iff(Formula):
 COMPARISON_OPS = ("=", "/=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison(Formula):
     op: str
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Membership(Formula):
     element: Formula
     container: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quantifier(Formula):
     """``exists`` or ``forall`` over one or more integer identifiers."""
 
@@ -109,12 +109,12 @@ class Quantifier(Formula):
 # --- expression nodes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLiteral(Formula):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ident(Formula):
     name: str
     primed: bool = False
@@ -124,26 +124,26 @@ class Ident(Formula):
         return self.name + "'" if self.primed else self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Minus(Formula):
     """Unary arithmetic negation."""
 
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul(Formula):
     """Multiplication; well-formedness requires one literal operand."""
 
@@ -151,17 +151,17 @@ class Mul(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetLiteral(Formula):
     elements: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NatSet(Formula):
     """The natural numbers (membership means >= 0)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntSet(Formula):
     """The integers (membership is trivially true)."""
 

@@ -24,6 +24,7 @@ quantifier when it is an operand.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -102,13 +103,19 @@ def _err(message: str, loc: Loc, path: str, code: str = "syntax") -> ParseError:
     return ParseError(Diagnostic(code, message, loc, path))
 
 
+# Equal positions share one immutable Loc: parsed trees keep a Loc on
+# every node, and most positions recur across the texts one process
+# parses.
+_loc = lru_cache(maxsize=1 << 16)(Loc)
+
+
 def lex(text: str, path: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
     line, col, i = 1, 1, 0
     n = len(text)
 
     def loc() -> Loc:
-        return Loc(line, col)
+        return _loc(line, col)
 
     while i < n:
         ch = text[i]
@@ -183,7 +190,7 @@ def lex(text: str, path: str = "<string>") -> list[Token]:
                 break
         else:
             raise _err(f"unexpected character {ch!r}", loc(), path)
-    tokens.append(Token("eof", "", Loc(line, col)))
+    tokens.append(Token("eof", "", _loc(line, col)))
     return tokens
 
 

@@ -7,14 +7,17 @@ each remaining leaf is closed either syntactically or by `decide`.
 
 `decide` refutes the conjunction of the selected hypotheses and the
 negated goal.  Membership is elaborated into arithmetic (memberships in
-declared carrier sets stay opaque), the result is put in negation
-normal form over linear atoms, all propositional branches are
-enumerated, and each branch is checked with Fourier-Motzkin elimination
-over the integers: every row keeps integer coefficients, divided by
-their gcd with the bound rounded down.  The procedure is sound
-but incomplete: PROVED is trustworthy, UNPROVED may just mean "too
-hard", and counterexamples are only reported when they check out
-against the selected hypotheses.
+declared carrier sets stay opaque), and the result is put in negation
+normal form over linear atoms.  A lazy DPLL(T) search then looks for a
+propositional model: before branching it assigns every literal on the
+top-level conjunction spine (unit propagation), and each partial
+assignment that gained a linear literal is checked with Fourier-Motzkin
+elimination over the integers, so an arithmetically inconsistent one
+is pruned with its whole subtree.  Every Fourier-Motzkin row keeps
+integer coefficients, divided by their gcd with the bound rounded down.
+The procedure is sound but incomplete: PROVED is trustworthy, UNPROVED
+may just mean "too hard", and counterexamples are only reported when
+they check out against the selected hypotheses.
 """
 
 from __future__ import annotations
@@ -262,7 +265,7 @@ def _negate_tree(tree):
     return (op, _negate_tree(tree[1]), _negate_tree(tree[2]))
 
 
-# --- branch enumeration -------------------------------------------------------
+# --- lazy DPLL(T) search ------------------------------------------------------
 
 
 class _Search:
@@ -275,6 +278,9 @@ class _Search:
         self.visited += 1
         if self.visited > self.cap:
             raise _Budget("branch cap exceeded")
+        self.check_deadline()
+
+    def check_deadline(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _Budget("timeout")
 
@@ -317,30 +323,60 @@ def _first_literal(tree):
     return None
 
 
-def _solve(tree, assignment: dict, search: _Search):
-    """Depth-first enumeration of propositional branches; a branch that
-    makes the tree true is accepted when its linear literals are
-    arithmetically consistent.  Returns the integer sample (possibly
-    partial), the literal assignment, or None when every branch is
-    inconsistent."""
+def _units(tree, out: list) -> list:
+    """The literals on the top-level conjunction spine: every model of
+    the tree makes them true."""
+    if tree[0] == "and":
+        _units(tree[1], out)
+        _units(tree[2], out)
+    elif tree[0] == "lit":
+        out.append((tree[1], tree[2]))
+    return out
+
+
+def _solve(tree, assignment: dict, search: _Search, fresh: bool):
+    """Depth-first DPLL(T) search for a model of the tree.  Unit
+    literals are assigned before branching, and every partial assignment
+    that gained a linear literal (``fresh``) is checked for arithmetic
+    consistency, so an infeasible one is pruned with its subtree.
+    Returns the integer sample (possibly partial) and the literal
+    assignment of the first model found, or None when there is none."""
     search.tick()
-    tree = _simplify(tree, assignment)
-    if tree == ("false",):
+    trail: list = []
+    try:
+        tree = _simplify(tree, assignment)
+        while tree[0] not in ("true", "false"):
+            units = _units(tree, [])
+            if not units:
+                break
+            for key, polarity in units:
+                value = assignment.get(key)
+                if value is None:
+                    assignment[key] = polarity
+                    trail.append(key)
+                    fresh = fresh or key[0] == "lin"
+                elif value != polarity:
+                    return None
+            tree = _simplify(tree, assignment)
+        if tree == ("false",):
+            return None
+        if fresh or tree == ("true",):
+            feasible, sample = _feasible(assignment, search)
+            if not feasible:
+                return None
+            if tree == ("true",):
+                return sample, dict(assignment)
+        key = _first_literal(tree)
+        for value in (True, False):
+            assignment[key] = value
+            result = _solve(tree, assignment, search, key[0] == "lin")
+            del assignment[key]
+            if result is not None:
+                return result
         return None
-    if tree == ("true",):
-        feasible, sample = _feasible(assignment, search)
-        if feasible:
-            return sample, dict(assignment)
-        return None
-    key = _first_literal(tree)
-    assert key is not None
-    for value in (True, False):
-        assignment[key] = value
-        result = _solve(tree, assignment, search)
-        del assignment[key]
-        if result is not None:
-            return result
-    return None
+    finally:
+        for key in trail:
+            del assignment[key]
 
 
 # --- Fourier-Motzkin ----------------------------------------------------------
@@ -391,6 +427,7 @@ def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] |
                 rest.add((coeffs, bound))
         for lc, lb, la in lowers:
             for uc, ub, ua in uppers:
+                search.check_deadline()
                 combined: dict[str, int] = {}
                 for k, v in uc.items():
                     combined[k] = combined.get(k, 0) + v * -la
@@ -463,7 +500,7 @@ def decide(
         return Decision(UNSUPPORTED, u.reason)
     search = _Search(deadline, cap)
     try:
-        found = _solve(tree, {}, search)
+        found = _solve(tree, {}, search, False)
     except _Budget as b:
         return Decision(UNPROVED, b.reason)
     if found is None:

@@ -218,6 +218,20 @@ def test_prove_json_into_missing_directory(tmp_path):
     assert not out.exists()
 
 
+def test_prove_pog_hint_diagnostic_names_the_file(tmp_path):
+    # invariants are no hypotheses of the initialisation's obligations
+    path = tmp_path / "use0.ebh"
+    path.write_text(
+        "machine use0\nvariables x y\ninvariants\n  i1: x in NAT\n  i2: y in NAT\nevents\n"
+        "  initialisation\n  then\n    a1: x := 0\n    a2: y := 0\n"
+        "  hints\n    use i2 for i1\n  end\nend\n"
+    )
+    result = run_cli("prove", str(path), "--hint-mode", "pog")
+    assert result.exit_code == 0
+    assert f"{path}:12:5: unresolved-hint-label: " in result.output
+    assert "<model>" not in result.output
+
+
 def test_prove_timeout_flag_accepted():
     result = run_cli("prove", str(FIXTURES / "hypSel0.ebh"), "--timeout-ms", "100")
     assert result.exit_code == 0

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from ebhint import prover
 from ebhint.formula import Truth, evaluate
 from ebhint.model import Hypothesis, Sequent
 from ebhint.parser import load_model, parse_predicate
@@ -94,6 +97,62 @@ def test_decide_branch_budget():
     assert d.status == UNPROVED
     assert "branch cap" in d.reason
     assert d.counterexample is None
+
+
+def test_decide_past_deadline_times_out():
+    d = decide((p("x <= 0"),), p("x <= 1"), deadline=time.perf_counter() - 1)
+    assert d.status == UNPROVED
+    assert d.reason == "timeout"
+
+
+def test_fm_checks_deadline_per_row_pair_without_ticking():
+    class Counting(prover._Search):
+        deadline_checks = 0
+
+        def check_deadline(self):
+            self.deadline_checks += 1
+
+    # three lower and three upper bounds on x, eliminated in one step
+    assignment = {}
+    for k in range(3):
+        assignment[("lin", (("x", -1), ("y", 1)), k)] = True
+        assignment[("lin", (("x", 1),), 5 + k)] = True
+    search = Counting(None, 1 << 16)
+    feasible, _ = prover._feasible(assignment, search)
+    assert feasible
+    assert search.visited == 2  # one tick per eliminated variable, x and y
+    assert search.deadline_checks >= search.visited + 9
+
+
+# The pathological sequents of the benchmark's decide workload, as text.
+# The second adds the plainly contradictory `b in {-1,-7,4} & b in {7,8}`
+# and one more hypothesis to the first; both are valid.
+SLOW_HYPS = (
+    "(c + 1 * c <= 3 * c - 3) & (not (c in {-3, -2, -1}))",
+    "not ((3 * a + b + d /= d - c) or ((-8) - 1 * c < c - 4))",
+    "c in {-7, 3, 0}",
+    "c in {8, 4}",
+)
+SLOW_GOAL = "((b in NAT) or (c in {6, -4})) & ((3 * c - (-8) - b > b) => (c - c - c /= (-4) + 3 * a))"
+PINNED = (
+    (SLOW_HYPS, SLOW_GOAL),
+    (SLOW_HYPS + ("b in {-1,-7,4} & b in {7,8}", "a + d <= 6"), SLOW_GOAL),
+)
+
+
+@pytest.mark.parametrize("cap", [1 << 16, 2_000])
+@pytest.mark.parametrize("index", [0, 1])
+def test_decide_pinned_pathological_sequents(index, cap):
+    hyps, goal = PINNED[index]
+    d = decide(tuple(p(h) for h in hyps), p(goal), cap=cap)
+    assert d.status == PROVED, d.reason
+
+
+def test_decide_monotone_on_pinned_witness():
+    hyps, goal = PINNED[1]
+    statuses = [decide(tuple(p(h) for h in hyps[:n]), p(goal)).status for n in range(len(hyps) + 1)]
+    first = statuses.index(PROVED)
+    assert statuses[first:] == [PROVED] * (len(statuses) - first)
 
 
 # --- tactics -------------------------------------------------------------------
