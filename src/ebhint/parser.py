@@ -52,6 +52,7 @@ from .formula import (
     And,
     Iff,
     Implies,
+    children,
 )
 from .model import (
     Assignment,
@@ -85,6 +86,11 @@ _UNI_SYMBOL = {"≤": "<=", "≥": ">=", "≠": "/=", "⇒": "=>", "⇔": "<=>",
                "≔": ":=", "∧": "&", "·": ".", "−": "-"}
 _UNI_KEYWORD = {"∨": "or", "¬": "not", "∈": "in", "ℕ": "NAT", "ℤ": "INT",
                 "∃": "exists", "∀": "forall"}
+
+# How deep a formula may nest, in parser levels (brackets, quantifier
+# bodies, prefix and right-associative operators) and in tree levels:
+# the parser and every formula walker recurse.
+MAX_DEPTH = 50
 
 
 class Token(NamedTuple):
@@ -202,6 +208,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.path = path
+        self.depth = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -272,20 +279,40 @@ class Parser:
     # -- formulas ---------------------------------------------------------
 
     def formula(self) -> Formula:
-        return self._iff()
+        start = self.pos
+        f = self._iff()
+        # a tree has no more nodes than tokens, so only a long formula
+        # can be too deep
+        if self.depth == 0 and self.pos - start > MAX_DEPTH:
+            level = [f]
+            for _ in range(MAX_DEPTH):
+                level = [c for node in level for c in children(node)]
+            if level:
+                raise _err(f"formula nested deeper than {MAX_DEPTH} levels", level[0].loc, self.path)
+        return f
+
+    def _nested(self, parse) -> Formula:
+        """Parse one level deeper, opened by the token just taken."""
+        if self.depth == MAX_DEPTH:
+            opener = self.tokens[self.pos - 1]
+            raise _err(f"formula nested deeper than {MAX_DEPTH} levels", opener.loc, self.path)
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
 
     def _iff(self) -> Formula:
         left = self._implies()
         if self.at("<=>"):
             loc = self.advance().loc
-            return Iff(left, self._iff(), loc=loc)
+            return Iff(left, self._nested(self._iff), loc=loc)
         return left
 
     def _implies(self) -> Formula:
         left = self._or()
         if self.at("=>"):
             loc = self.advance().loc
-            return Implies(left, self._implies(), loc=loc)
+            return Implies(left, self._nested(self._implies), loc=loc)
         return left
 
     def _or(self) -> Formula:
@@ -305,7 +332,7 @@ class Parser:
     def _not(self) -> Formula:
         if self.at_kw("not"):
             loc = self.advance().loc
-            return Not(self._not(), loc=loc)
+            return Not(self._nested(self._not), loc=loc)
         return self._comparison()
 
     def _comparison(self) -> Formula:
@@ -346,7 +373,7 @@ class Parser:
     def _unary(self) -> Formula:
         if self.at("-"):
             loc = self.advance().loc
-            operand = self._unary()
+            operand = self._nested(self._unary)
             # fold negative integer literals so they print back verbatim
             if isinstance(operand, IntLiteral):
                 return IntLiteral(-operand.value, loc=loc)
@@ -384,18 +411,18 @@ class Parser:
                     for t in self.ident_list("bound identifier", allow_primed=True)
                 )
                 self.expect(".", "'.' after quantifier binders")
-                return Quantifier(tok.text, binders, self.formula(), loc=tok.loc)
+                return Quantifier(tok.text, binders, self._nested(self.formula), loc=tok.loc)
         if tok.kind == "(":
             self.advance()
-            inner = self.formula()
+            inner = self._nested(self.formula)
             self.expect(")")
             return inner
         if tok.kind == "{":
             self.advance()
-            elements = [self.formula()]
+            elements = [self._nested(self.formula)]
             while self.at(","):
                 self.advance()
-                elements.append(self.formula())
+                elements.append(self._nested(self.formula))
             self.expect("}")
             return SetLiteral(tuple(elements), loc=tok.loc)
         found = tok.text or "end of file"

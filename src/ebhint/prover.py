@@ -14,8 +14,12 @@ top-level conjunction spine (unit propagation), and each partial
 assignment that gained a linear literal is checked with Fourier-Motzkin
 elimination over the integers, so an arithmetically inconsistent one
 is pruned with its whole subtree.  Every Fourier-Motzkin row keeps
-integer coefficients, divided by their gcd with the bound rounded down.
-The procedure is sound but incomplete: PROVED is trustworthy, UNPROVED
+integer coefficients, divided by their gcd with the bound rounded down,
+and of rows with equal coefficients only the tightest is kept.  The
+check splits the rows into variable-disjoint components and eliminates
+each on its own; the search memoises each literal's row and each
+component's result, so a component met again at a later node of the
+same `decide` call costs a lookup.  The procedure is sound but incomplete: PROVED is trustworthy, UNPROVED
 may just mean "too hard", and counterexamples are only reported when
 they check out against the selected hypotheses.
 """
@@ -126,8 +130,9 @@ class _Budget(Exception):
 # --- linear atoms -------------------------------------------------------------
 
 # A linear atom is sum(coeff * var) <= bound with integer coefficients,
-# keyed by ((var, coeff), ...) sorted by name plus the bound.
-_LinKey = tuple[tuple[tuple[str, int], ...], int]
+# keyed by ((var, coeff), ...) sorted by name plus the bound; a
+# Fourier-Motzkin row has the same shape.
+_Row = tuple[tuple[tuple[str, int], ...], int]
 
 
 def _linear(e: Formula) -> tuple[dict[str, int], int]:
@@ -273,6 +278,10 @@ class _Search:
         self.deadline = deadline
         self.cap = cap
         self.visited = 0
+        # memos for _feasible, scoped to this search: the row of each
+        # (linear literal, polarity) and the result of each component
+        self.rows: dict = {}
+        self.components: dict = {}
 
     def tick(self) -> None:
         self.visited += 1
@@ -381,10 +390,7 @@ def _solve(tree, assignment: dict, search: _Search, fresh: bool):
 
 # --- Fourier-Motzkin ----------------------------------------------------------
 
-_Constraint = tuple[tuple[tuple[str, int], ...], int]
-
-
-def _tighten(coeffs: dict[str, int], bound: int) -> _Constraint | None:
+def _tighten(coeffs: dict[str, int], bound: int) -> _Row | None:
     """Divide by the gcd of the coefficients and floor the bound; all
     variables range over the integers.  Returns None for a trivially
     true constraint."""
@@ -396,81 +402,117 @@ def _tighten(coeffs: dict[str, int], bound: int) -> _Constraint | None:
 
 
 def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] | None]:
-    constraints: set[_Constraint] = set()
+    """Fourier-Motzkin on the linear literals, per variable-disjoint
+    component, memoised on the search.  Ticks once per variable in
+    sorted order up to the first that gives a false row, as one
+    elimination over all of them would.  Returns feasibility and the
+    integer sample (None when it is not integral)."""
+    rows: dict[tuple[tuple[str, int], ...], int] = {}
     for key, value in assignment.items():
         if key[0] != "lin":
             continue
-        _, coeffs, bound = key
-        if value:
-            c = _tighten(dict(coeffs), bound)
-        else:
-            c = _tighten({k: -v for k, v in coeffs}, -bound - 1)
-        if c is not None:
-            if not c[0]:
-                return False, None
-            constraints.add(c)
+        row = search.rows.get((key, value))
+        if row is None:
+            # `_atom` tightened the key; its negation stays tightened
+            search.check_deadline()
+            _, coeffs, bound = key
+            row = (coeffs, bound) if value else (tuple((k, -v) for k, v in coeffs), -bound - 1)
+            search.rows[key, value] = row
+        coeffs, bound = row
+        # of two rows with equal coefficients the tighter one implies
+        # the other, so only that one is kept
+        if rows.get(coeffs, bound) >= bound:
+            rows[coeffs] = bound
 
-    names = sorted({name for coeffs, _ in constraints for name, _ in coeffs})
-    stages: list[tuple[str, set[_Constraint]]] = []
-    current = constraints
-    for name in names:
+    # union-find (with path halving) over the variable names, then the
+    # rows of each root
+    parent: dict[str, str] = {}
+    for coeffs in rows:
+        root = None
+        for name, _ in coeffs:
+            while (up := parent.setdefault(name, name)) != name:
+                parent[name] = name = parent[up]
+            if root is None:
+                root = name
+            elif name != root:
+                parent[name] = root
+    parts: dict[str, dict] = {}
+    for coeffs, bound in rows.items():
+        name = coeffs[0][0]
+        while (up := parent[name]) != name:
+            name = up
+        parts.setdefault(name, {})[coeffs] = bound
+
+    results = []
+    for part in parts.values():
+        memo_key = frozenset(part.items())
+        result = search.components.get(memo_key)
+        if result is None:
+            result = search.components[memo_key] = _eliminate(part, search)
+        results.append(result)
+    stops = [stop for stop, _ in results if stop is not None]
+    for name in sorted(parent):
         search.tick()
+        if name in stops:
+            return False, None
+    if any(sample is None for _, sample in results):
+        return True, None
+    return True, {name: v for _, sample in results for name, v in sample.items()}
+
+
+def _eliminate(rows: dict, search: _Search) -> tuple[str | None, dict[str, int] | None]:
+    """Eliminate the variables of one component in sorted order (a row
+    holds the one being eliminated as its first coefficient).  Returns
+    the variable that gave a false row, or None and the integer sample
+    (None when it is not integral)."""
+    stages: list[tuple[str, dict]] = []
+    current = rows
+    for name in sorted({name for coeffs in rows for name, _ in coeffs}):
         stages.append((name, current))
-        lowers, uppers, rest = [], [], set()
-        for coeffs, bound in current:
-            a = dict(coeffs).get(name, 0)
-            if a > 0:
-                uppers.append((dict(coeffs), bound, a))
-            elif a < 0:
-                lowers.append((dict(coeffs), bound, a))
+        lowers, uppers, rest = [], [], {}
+        for coeffs, bound in current.items():
+            search.check_deadline()
+            if coeffs[0][0] != name:
+                rest[coeffs] = bound
+            elif coeffs[0][1] > 0:
+                uppers.append((coeffs, bound))
             else:
-                rest.add((coeffs, bound))
-        for lc, lb, la in lowers:
-            for uc, ub, ua in uppers:
+                lowers.append((coeffs, bound))
+        for lc, lb in lowers:
+            la = -lc[0][1]
+            for uc, ub in uppers:
                 search.check_deadline()
-                combined: dict[str, int] = {}
-                for k, v in uc.items():
-                    combined[k] = combined.get(k, 0) + v * -la
-                for k, v in lc.items():
+                ua = uc[0][1]
+                combined = {k: v * la for k, v in uc[1:]}
+                for k, v in lc[1:]:
                     combined[k] = combined.get(k, 0) + v * ua
-                combined.pop(name, None)
-                c = _tighten(combined, ub * -la + lb * ua)
+                c = _tighten(combined, ub * la + lb * ua)
                 if c is not None:
-                    if not c[0]:
-                        return False, None
-                    rest.add(c)
+                    coeffs, bound = c
+                    if not coeffs:
+                        return name, None
+                    if rest.get(coeffs, bound) >= bound:
+                        rest[coeffs] = bound
         current = rest
 
     sample: dict[str, int] = {}
-    exact = True
     for name, cons in reversed(stages):
-        # a * name <= rest_value bounds name by rest_value / a, rounded
-        # down for a > 0 (an upper bound) and up for a < 0 (a lower bound)
-        lo: int | None = None
-        hi: int | None = None
-        for coeffs, bound in cons:
-            cd = dict(coeffs)
-            a = cd.pop(name, 0)
-            if a == 0:
-                continue
-            rest_value = bound - sum(v * sample.get(k, 0) for k, v in cd.items())
-            if a > 0:
-                limit = rest_value // a
-                hi = limit if hi is None else min(hi, limit)
-            else:
-                limit = -(rest_value // -a)
-                lo = limit if lo is None else max(lo, limit)
-        if lo is not None and hi is not None and lo > hi:
-            exact = False
-            break
-        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
-            sample[name] = 0
-        elif lo is not None and lo > 0:
-            sample[name] = lo
-        else:
-            assert hi is not None
-            sample[name] = hi
-    return True, (sample if exact else None)
+        # a * name <= rest bounds name by rest / a, rounded down for
+        # a > 0 (an upper bound) and up for a < 0 (a lower bound)
+        lows, highs = [], []
+        for coeffs, bound in cons.items():
+            if coeffs[0][0] == name:
+                a = coeffs[0][1]
+                rest = bound - sum(v * sample[k] for k, v in coeffs[1:])
+                if a > 0:
+                    highs.append(rest // a)
+                else:
+                    lows.append(-(rest // -a))
+        value = min([max([0, *lows]), *highs])  # the value in range nearest 0
+        if lows and value < max(lows):
+            return None, None
+        sample[name] = value
+    return None, sample
 
 
 # --- the decision entry point ---------------------------------------------------

@@ -245,6 +245,35 @@ def test_prove_semantic_error_exits_one(tmp_path):
     assert "UNPROVED" not in result.output  # no proving happened
 
 
+# --- deeply nested formulas ---------------------------------------------------------
+
+DEEP_INVARIANTS = {
+    "parens100": "(" * 100 + "x >= 0" + ")" * 100,
+    "parens1500": "(" * 1500 + "x >= 0" + ")" * 1500,
+    "plus1000": " + ".join(["x"] + ["1"] * 999) + " >= 0",
+    "and1000": " & ".join(["x >= 0"] * 1000),
+}
+
+
+@pytest.mark.parametrize("command", [["check"], ["pos"], ["prove"], ["export-smt", "e/i1/INV"]])
+@pytest.mark.parametrize("kind", sorted(DEEP_INVARIANTS))
+def test_deep_formula_is_a_syntax_diagnostic(tmp_path, kind, command):
+    path = tmp_path / "deep.ebh"
+    path.write_text(
+        f"machine deep\nvariables x\ninvariants\n  i1: {DEEP_INVARIANTS[kind]}\n"
+        "events\n  event e\n  then\n    a1: x := x + 1\n  end\nend\n"
+    )
+    result = run_cli(command[0], str(path), *command[1:])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a RecursionError
+    assert "Traceback" not in result.output
+    [line] = result.output.splitlines()
+    assert line.startswith(f"{path}:4:")
+    assert line.endswith(": syntax: formula nested deeper than 50 levels")
+    if kind.startswith("parens"):
+        assert line.startswith(f"{path}:4:57:")  # the 51st parenthesis
+
+
 # --- export-smt ------------------------------------------------------------------
 
 

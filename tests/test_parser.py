@@ -20,7 +20,7 @@ from ebhint.formula import (
     Quantifier,
 )
 from ebhint.model import Machine
-from ebhint.parser import ParseError, load_model, parse_predicate, parse_source
+from ebhint.parser import MAX_DEPTH, ParseError, load_model, parse_predicate, parse_source
 from ebhint.printer import pretty_print, print_formula
 from strategies import predicates
 
@@ -95,6 +95,37 @@ def test_error_location_points_at_offender():
     with pytest.raises(ParseError) as exc:
         parse_predicate("x =")
     assert exc.value.diagnostic.loc == Loc(1, 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: "(" * n + "x" + ")" * n,
+        lambda n: "not " * n + "x",
+        lambda n: "x = " + "- " * n + "y",
+        lambda n: " => ".join(["x"] * (n + 1)),
+    ],
+)
+def test_parser_nesting_limit(build):
+    # each form opens one parser level per repetition
+    parse_predicate(build(MAX_DEPTH - 2))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse_predicate(build(MAX_DEPTH + 1))
+
+
+def test_tree_depth_limit_points_into_the_formula():
+    # a left-associated chain of n terms is n levels deep
+    parse_predicate(" + ".join(["x"] * MAX_DEPTH))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as exc:
+        parse_predicate(" & ".join(["x"] * (MAX_DEPTH + 1)))
+    # the first node past the limit, counted from the root: the first term
+    assert exc.value.diagnostic.loc == Loc(1, 1)
+
+
+def test_parenthesis_limit_points_at_the_opening_parenthesis():
+    with pytest.raises(ParseError) as exc:
+        parse_predicate("(" * 1500 + "x" + ")" * 1500)
+    assert exc.value.diagnostic.loc == Loc(1, MAX_DEPTH + 1)
 
 
 @given(predicates)

@@ -155,6 +155,116 @@ def test_decide_monotone_on_pinned_witness():
     assert statuses[first:] == [PROVED] * (len(statuses) - first)
 
 
+# Branches and Fourier-Motzkin stages (`_Search.visited`) of the pinned
+# sequents.  The branch cap counts them, so a different count can move
+# a verdict under some cap.
+PINNED_VISITED = (4, 4)
+
+
+def decide_visited(monkeypatch, hyps, goal, **kwargs):
+    """decide, and the branch counter of the search it ran."""
+    searches = []
+
+    class Recording(prover._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(prover, "_Search", Recording)
+    decision = decide(hyps, goal, **kwargs)
+    [search] = searches
+    return decision, search.visited
+
+
+@pytest.mark.parametrize("cap", [1 << 16, 2_000])
+@pytest.mark.parametrize("index", [0, 1])
+def test_decide_pinned_visited_counts(monkeypatch, index, cap):
+    hyps, goal = PINNED[index]
+    _, visited = decide_visited(monkeypatch, tuple(p(h) for h in hyps), p(goal), cap=cap)
+    assert visited == PINNED_VISITED[index]
+
+
+def test_decide_twice_is_the_same_search(monkeypatch):
+    # the theory memos live and die with one decide call
+    rng = random.Random(5)
+    cases = [(tuple(p(h) for h in hyps), p(goal)) for hyps, goal in PINNED]
+    for _ in range(40):
+        s = random_sequent(rng)
+        cases.append((tuple(h.predicate for h in s.hypotheses), s.goal))
+    for hyps, goal in cases:
+        assert decide_visited(monkeypatch, hyps, goal) == decide_visited(monkeypatch, hyps, goal)
+
+
+def test_feasible_joins_components_through_a_later_row():
+    # {b, d} and then {c, d} form one component before 2a + b <= -5
+    # joins {a} to it, so b = 0 meets a = 0 in one elimination
+    rows = [
+        ((("b", 2), ("d", -1)), -1),
+        ((("a", 1),), 0),
+        ((("a", -1),), 0),
+        ((("c", 1), ("d", 1)), 2),
+        ((("a", 2), ("b", 1)), -5),
+        ((("d", -1),), 4),
+        ((("b", 1),), 0),
+        ((("b", -1),), 0),
+    ]
+    assignment = {("lin", coeffs, bound): True for coeffs, bound in rows}
+    search = prover._Search(None, 1 << 16)
+    assert prover._feasible(assignment, search) == (False, None)
+    assert search.visited == 2  # a, then b gives the false row
+
+
+def _linear_system(names):
+    """Assignments of linear literals over the given variable names."""
+    row = st.tuples(
+        st.dictionaries(st.sampled_from(names), st.integers(-3, 3).filter(bool), min_size=1, max_size=3),
+        st.integers(-6, 6),
+        st.booleans(),
+    )
+    return st.lists(row, max_size=8).map(
+        lambda rows: {
+            atom[1]: value
+            for coeffs, bound, value in rows
+            if (atom := prover._atom(coeffs, bound))[0] == "lit"
+        }
+    )
+
+
+def satisfies(assignment, sample):
+    return all(
+        (sum(c * sample[name] for name, c in coeffs) <= bound) == value
+        for (_, coeffs, bound), value in assignment.items()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_linear_system(("a", "c", "e", "g")), _linear_system(("b", "d", "f", "h")))
+def test_feasible_on_disjoint_systems_combines_the_parts(left, right):
+    parts = []
+    for assignment in (left, right):
+        search = prover._Search(None, 1 << 16)
+        feasible, sample = prover._feasible(assignment, search)
+        assert sample is None or satisfies(assignment, sample)
+        names = sorted({name for _, coeffs, _ in assignment for name, _ in coeffs})
+        # the variable whose elimination gave a false row
+        stop = None if feasible else names[search.visited - 1]
+        parts.append((feasible, sample, names, stop))
+    search = prover._Search(None, 1 << 16)
+    feasible, sample = prover._feasible({**left, **right}, search)
+    assert feasible == (parts[0][0] and parts[1][0])
+    assert sample is None or satisfies({**left, **right}, sample)
+    names = sorted(parts[0][2] + parts[1][2])
+    stops = [stop for *_, stop in parts if stop is not None]
+    # one tick per variable in sorted order, up to the first false stage
+    assert search.visited == (len([n for n in names if n <= min(stops)]) if stops else len(names))
+    if feasible:
+        left_sample, right_sample = parts[0][1], parts[1][1]
+        if left_sample is None or right_sample is None:
+            assert sample is None
+        else:
+            assert sample == {**left_sample, **right_sample}
+
+
 # --- tactics -------------------------------------------------------------------
 
 
