@@ -24,7 +24,7 @@ from .model import Model, PoSet
 from .parser import load_model
 from .pog import apply_hints_pog, check_new_events, generate
 from .printer import print_formula
-from .prover import PROVED, ProofResult, ProveOptions, prove_obligation
+from .prover import PROVED, Memo, ProofResult, ProveOptions, prove_obligation
 from .smtlib import export_smt
 from .wellformed import wellformed
 
@@ -158,11 +158,12 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
     """Prove the obligations of FILE, honouring its hints."""
     model, poset = _obligations(file, hint_mode)
     options = ProveOptions(lasso=lasso, all_hyps=all_hyps, timeout_ms=timeout_ms)
+    memo = Memo()  # theory results shared by this command's obligations
     results: list[tuple[ProofResult, float]] = []
     for po in poset.obligations:
         hints = model.machine.event_hints(po.origin.event) if hint_mode == "tactic" else ()
         start = time.perf_counter()
-        result = prove_obligation(po, hints, mode=hint_mode, options=options)
+        result = prove_obligation(po, hints, mode=hint_mode, options=options, memo=memo)
         results.append((result, (time.perf_counter() - start) * 1000.0))
         click.echo(f"{result.status.upper()} {result.name}")
 

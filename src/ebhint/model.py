@@ -162,12 +162,6 @@ class Model:
 
     # -- identifier scopes --------------------------------------------------
 
-    def set_names(self) -> tuple[str, ...]:
-        return tuple(s for c in self.contexts for s in c.sets)
-
-    def constant_names(self) -> tuple[str, ...]:
-        return tuple(k for c in self.contexts for k in c.constants)
-
     def abstract_variables(self) -> tuple[str, ...]:
         return self.abstract.machine.variables if self.abstract else ()
 

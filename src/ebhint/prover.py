@@ -8,20 +8,22 @@ each remaining leaf is closed either syntactically or by `decide`.
 `decide` refutes the conjunction of the selected hypotheses and the
 negated goal.  Membership is elaborated into arithmetic (memberships in
 declared carrier sets stay opaque), and the result is put in negation
-normal form over linear atoms.  A lazy DPLL(T) search then looks for a
-propositional model: before branching it assigns every literal on the
-top-level conjunction spine (unit propagation), and each partial
-assignment that gained a linear literal is checked with Fourier-Motzkin
-elimination over the integers, so an arithmetically inconsistent one
-is pruned with its whole subtree.  Every Fourier-Motzkin row keeps
-integer coefficients, divided by their gcd with the bound rounded down,
-and of rows with equal coefficients only the tightest is kept.  The
-check splits the rows into variable-disjoint components and eliminates
-each on its own; the search memoises each literal's row and each
-component's result, so a component met again at a later node of the
-same `decide` call costs a lookup.  The procedure is sound but incomplete: PROVED is trustworthy, UNPROVED
-may just mean "too hard", and counterexamples are only reported when
-they check out against the selected hypotheses.
+normal form over linear atoms, long chains as balanced trees.  A lazy
+DPLL(T) search then looks for a propositional model: before branching
+it assigns every literal on the top-level conjunction spine (unit
+propagation), and each partial assignment that gained a linear literal
+is checked with Fourier-Motzkin elimination over the integers, so an
+arithmetically inconsistent one is pruned with its whole subtree.
+Every Fourier-Motzkin row keeps integer coefficients, divided by their
+gcd with the bound rounded down, and of rows with equal coefficients
+only the tightest is kept.  The rows are split into variable-disjoint
+components, eliminated one by one; a node inherits the components of
+the last check on its path and rebuilds only those its new literals
+join.  Literal rows, component results and hypothesis NNFs are kept in
+a `Memo`, which one `prove` run shares across its obligations.  The
+procedure is sound but incomplete: PROVED is trustworthy, UNPROVED may
+just mean "too hard", and counterexamples are only reported when they
+check out against the selected hypotheses.
 """
 
 from __future__ import annotations
@@ -241,10 +243,8 @@ def _membership(f: Membership, positive: bool):
     if isinstance(f.container, IntSet):
         return ("true",) if positive else ("false",)
     if isinstance(f.container, SetLiteral):
-        tree = ("false",)
-        for e in reversed(f.container.elements):
-            eq = _comparison(Comparison("=", f.element, e), True)
-            tree = eq if tree == ("false",) else ("or", eq, tree)
+        eqs = [_comparison(Comparison("=", f.element, e), True) for e in f.container.elements]
+        tree = _balanced("or", eqs) if eqs else ("false",)
         if not positive:
             return _negate_tree(tree)
         return tree
@@ -252,6 +252,14 @@ def _membership(f: Membership, positive: bool):
         key = ("set", f.container.key, f.element)
         return ("lit", key, positive)
     raise _Unsupported(f"membership in {print_formula(f.container)}")
+
+
+def _balanced(op: str, trees: list):
+    """The trees joined by op, in order, as a tree of depth ceil(log2 n),
+    so that the recursive walkers stay shallow on long chains."""
+    while len(trees) > 1:
+        trees = [(op, *trees[i : i + 2]) if i + 1 < len(trees) else trees[i] for i in range(0, len(trees), 2)]
+    return trees[0]
 
 
 def _negate_tree(tree):
@@ -273,19 +281,30 @@ def _negate_tree(tree):
 # --- lazy DPLL(T) search ------------------------------------------------------
 
 
+class Memo:
+    """Theory results shared by the `decide` calls of one `prove` run:
+    the row of each (linear literal, polarity), the `_eliminate` result
+    of each component keyed by its frozen row set, and the NNF of each
+    hypothesis.  Every entry is a pure function of its key, so verdicts
+    and branch counts do not depend on what the memo holds."""
+
+    def __init__(self) -> None:
+        self.rows: dict = {}
+        self.components: dict = {}
+        self.nnf: dict = {}
+
+
 class _Search:
-    def __init__(self, deadline: float | None, cap: int) -> None:
+    def __init__(self, deadline: float | None, cap: int, memo: Memo | None = None) -> None:
         self.deadline = deadline
         self.cap = cap
         self.visited = 0
-        # memos for _feasible, scoped to this search: the row of each
-        # (linear literal, polarity) and the result of each component
-        self.rows: dict = {}
-        self.components: dict = {}
+        self.memo = memo if memo is not None else Memo()
 
-    def tick(self) -> None:
-        self.visited += 1
+    def tick(self, n: int = 1) -> None:
+        self.visited += n
         if self.visited > self.cap:
+            self.visited = self.cap + 1  # where ticking one at a time stops
             raise _Budget("branch cap exceeded")
         self.check_deadline()
 
@@ -343,49 +362,68 @@ def _units(tree, out: list) -> list:
     return out
 
 
-def _solve(tree, assignment: dict, search: _Search, fresh: bool):
-    """Depth-first DPLL(T) search for a model of the tree.  Unit
-    literals are assigned before branching, and every partial assignment
-    that gained a linear literal (``fresh``) is checked for arithmetic
-    consistency, so an infeasible one is pruned with its subtree.
-    Returns the integer sample (possibly partial) and the literal
-    assignment of the first model found, or None when there is none."""
+def _propagate(tree, assignment: dict, search: _Search, theory: _Theory, new: list, trail: list):
+    """One search node: assign the unit literals (onto ``trail``), and
+    check a model or a partial assignment that gained linear literals
+    (``new``, since ``theory`` was checked) for arithmetic consistency.
+    Returns the simplified tree and theory state, or None if dead."""
     search.tick()
-    trail: list = []
-    try:
-        tree = _simplify(tree, assignment)
-        while tree[0] not in ("true", "false"):
-            units = _units(tree, [])
-            if not units:
-                break
-            for key, polarity in units:
-                value = assignment.get(key)
-                if value is None:
-                    assignment[key] = polarity
-                    trail.append(key)
-                    fresh = fresh or key[0] == "lin"
-                elif value != polarity:
-                    return None
-            tree = _simplify(tree, assignment)
-        if tree == ("false",):
-            return None
-        if fresh or tree == ("true",):
-            feasible, sample = _feasible(assignment, search)
-            if not feasible:
+    tree = _simplify(tree, assignment)
+    while tree[0] not in ("true", "false"):
+        units = _units(tree, [])
+        if not units:
+            break
+        for key, polarity in units:
+            value = assignment.get(key)
+            if value is None:
+                assignment[key] = polarity
+                trail.append(key)
+                if key[0] == "lin":
+                    new.append(key)
+            elif value != polarity:
                 return None
-            if tree == ("true",):
-                return sample, dict(assignment)
-        key = _first_literal(tree)
-        for value in (True, False):
-            assignment[key] = value
-            result = _solve(tree, assignment, search, key[0] == "lin")
-            del assignment[key]
-            if result is not None:
-                return result
+        tree = _simplify(tree, assignment)
+    if tree == ("false",):
         return None
-    finally:
-        for key in trail:
-            del assignment[key]
+    if new or tree == ("true",):
+        theory = _extend(theory, new, assignment, search)
+        if theory is None:
+            return None
+    return tree, theory
+
+
+def _solve(tree, search: _Search):
+    """Depth-first search for a model of the tree, branching on the first
+    literal, True first; the open nodes are kept on a list, as a path
+    can be thousands of branches long.  Returns the integer sample
+    (possibly partial) and the literal assignment of the first model
+    found, or None when there is none."""
+    assignment: dict = {}
+    frames: list = []  # the open nodes' tree, theory state, trail and branch literal
+    trail: list = []
+    node = _propagate(tree, assignment, search, _EMPTY, [], trail)
+    while True:
+        if node is None:
+            # undo the dead node, then every open node that tried both values
+            for key in trail:
+                del assignment[key]
+            while frames and not assignment[frames[-1][3]]:
+                _, _, trail, key = frames.pop()
+                for key in (key, *trail):
+                    del assignment[key]
+            if not frames:
+                return None
+            tree, theory, _, key = frames[-1]
+            assignment[key] = False
+        else:
+            tree, theory = node
+            if tree == ("true",):
+                return _sample(theory), dict(assignment)
+            key = _first_literal(tree)
+            frames.append((tree, theory, trail, key))
+            assignment[key] = True
+        trail = []
+        node = _propagate(tree, assignment, search, theory, [key] if key[0] == "lin" else [], trail)
 
 
 # --- Fourier-Motzkin ----------------------------------------------------------
@@ -401,63 +439,82 @@ def _tighten(coeffs: dict[str, int], bound: int) -> _Row | None:
     return tuple(sorted((k, v // g) for k, v in coeffs.items())), bound // g
 
 
-def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] | None]:
-    """Fourier-Motzkin on the linear literals, per variable-disjoint
-    component, memoised on the search.  Ticks once per variable in
-    sorted order up to the first that gives a false row, as one
-    elimination over all of them would.  Returns feasibility and the
-    integer sample (None when it is not integral)."""
-    rows: dict[tuple[tuple[str, int], ...], int] = {}
-    for key, value in assignment.items():
-        if key[0] != "lin":
-            continue
-        row = search.rows.get((key, value))
+# The theory state of a feasible partial assignment: a union-find over
+# the variable names of its linear rows, and for each root the rows of
+# that variable-disjoint component (coefficients -> tightest bound) with
+# their `_eliminate` result.  A state is never changed once built.
+_Theory = tuple[dict[str, str], dict[str, tuple[dict, tuple]]]
+_EMPTY: _Theory = ({}, {})
+
+
+def _extend(theory: _Theory, keys: list, assignment: dict, search: _Search) -> _Theory | None:
+    """The state with the rows of the linear literals ``keys`` added, or
+    None when they make it infeasible.  Only the components the new rows
+    join are rebuilt and looked up in the memo.  Ticks once per variable
+    in sorted order up to the first that gives a false row, as one
+    elimination over all of them would."""
+    memo = search.memo
+    parent, parts = dict(theory[0]), dict(theory[1])
+    changed: dict[str, dict] = {}
+    for key in keys:
+        value = assignment[key]
+        row = memo.rows.get((key, value))
         if row is None:
             # `_atom` tightened the key; its negation stays tightened
             search.check_deadline()
             _, coeffs, bound = key
             row = (coeffs, bound) if value else (tuple((k, -v) for k, v in coeffs), -bound - 1)
-            search.rows[key, value] = row
+            memo.rows[key, value] = row
         coeffs, bound = row
-        # of two rows with equal coefficients the tighter one implies
-        # the other, so only that one is kept
-        if rows.get(coeffs, bound) >= bound:
-            rows[coeffs] = bound
-
-    # union-find (with path halving) over the variable names, then the
-    # rows of each root
-    parent: dict[str, str] = {}
-    for coeffs in rows:
-        root = None
+        # the roots (union-find with path halving) of the row's variables
+        roots: list[str] = []
         for name, _ in coeffs:
             while (up := parent.setdefault(name, name)) != name:
                 parent[name] = name = parent[up]
-            if root is None:
-                root = name
-            elif name != root:
-                parent[name] = root
-    parts: dict[str, dict] = {}
-    for coeffs, bound in rows.items():
-        name = coeffs[0][0]
-        while (up := parent[name]) != name:
-            name = up
-        parts.setdefault(name, {})[coeffs] = bound
+            if name not in roots:
+                roots.append(name)
+        root = roots[0]
+        part = changed.get(root)
+        if part is None:
+            part = changed[root] = dict(parts[root][0]) if root in parts else {}
+        for other in roots[1:]:
+            parent[other] = root
+            dropped = parts.pop(other, ({},))[0]
+            part.update(changed.pop(other, dropped))
+        # of two rows with equal coefficients the tighter one implies
+        # the other, so only that one is kept
+        if part.get(coeffs, bound) >= bound:
+            part[coeffs] = bound
 
-    results = []
-    for part in parts.values():
+    stop = None
+    for root, part in changed.items():
         memo_key = frozenset(part.items())
-        result = search.components.get(memo_key)
+        result = memo.components.get(memo_key)
         if result is None:
-            result = search.components[memo_key] = _eliminate(part, search)
-        results.append(result)
-    stops = [stop for stop, _ in results if stop is not None]
-    for name in sorted(parent):
-        search.tick()
-        if name in stops:
-            return False, None
-    if any(sample is None for _, sample in results):
-        return True, None
-    return True, {name: v for _, sample in results for name, v in sample.items()}
+            result = memo.components[memo_key] = _eliminate(part, search)
+        parts[root] = (part, result)
+        if result[0] is not None and (stop is None or result[0] < stop):
+            stop = result[0]
+    if stop is not None:
+        search.tick(sum(1 for name in parent if name <= stop))
+        return None
+    search.tick(len(parent))
+    return parent, parts
+
+
+def _sample(theory: _Theory) -> dict[str, int] | None:
+    """The integer sample of a feasible state, None when not integral."""
+    samples = [sample for _, (_, sample) in theory[1].values()]
+    if any(sample is None for sample in samples):
+        return None
+    return {name: v for sample in samples for name, v in sample.items()}
+
+
+def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] | None]:
+    """Fourier-Motzkin on an assignment's linear literals, from scratch:
+    feasibility and the integer sample (None when not integral)."""
+    theory = _extend(_EMPTY, [key for key in assignment if key[0] == "lin"], assignment, search)
+    return (False, None) if theory is None else (True, _sample(theory))
 
 
 def _eliminate(rows: dict, search: _Search) -> tuple[str | None, dict[str, int] | None]:
@@ -531,18 +588,23 @@ def decide(
     goal: Predicate,
     deadline: float | None = None,
     cap: int = 1 << 16,
+    memo: Memo | None = None,
 ) -> Decision:
     """Validity of hypotheses |- goal, by refuting their conjunction with
-    the negated goal."""
+    the negated goal.  A ``memo`` shared by several calls saves their
+    common theory work; without one each call keeps its own."""
     try:
-        tree = _nnf(goal, False)
+        trees = [_nnf(goal, False)]
         for h in reversed(hypotheses):
-            tree = ("and", _nnf(h, True), tree)
+            if memo is None:  # hashing a predicate costs a seventh of its NNF
+                trees.append(_nnf(h, True))
+            else:
+                trees.append(memo.nnf.get(h) or memo.nnf.setdefault(h, _nnf(h, True)))
     except _Unsupported as u:
         return Decision(UNSUPPORTED, u.reason)
-    search = _Search(deadline, cap)
+    search = _Search(deadline, cap, memo)
     try:
-        found = _solve(tree, {}, search, False)
+        found = _solve(_balanced("and", trees[::-1]), search)
     except _Budget as b:
         return Decision(UNPROVED, b.reason)
     if found is None:
@@ -688,7 +750,7 @@ def _expand(sequent: Sequent, trace: list[TraceStep]) -> list[Sequent]:
     return leaves
 
 
-def _close(sequent: Sequent, options: ProveOptions, deadline: float, trace: list[TraceStep]) -> Decision:
+def _close(sequent: Sequent, options: ProveOptions, deadline: float, trace: list[TraceStep], memo: Memo | None) -> Decision:
     if isinstance(sequent.goal, Truth):
         trace.append(TraceStep("closeSyntactic", "goal is true"))
         return Decision(PROVED, "goal is true")
@@ -697,7 +759,7 @@ def _close(sequent: Sequent, options: ProveOptions, deadline: float, trace: list
             trace.append(TraceStep("closeSyntactic", h.label))
             return Decision(PROVED, f"hypothesis {h.label}")
     selected = tuple(h.predicate for h in sequent.hypotheses if h.selected)
-    decision = decide(selected, sequent.goal, deadline, options.branch_cap)
+    decision = decide(selected, sequent.goal, deadline, options.branch_cap, memo=memo)
     trace.append(TraceStep("decide", decision.reason))
     return decision
 
@@ -714,12 +776,14 @@ def prove_obligation(
     hints: tuple[Hint, ...] = (),
     mode: str = "tactic",
     options: ProveOptions = ProveOptions(),
+    memo: Memo | None = None,
 ) -> ProofResult:
     """Run the proof pipeline on one obligation.
 
     In tactic mode the obligation's hint among ``hints`` (see
     `obligation_hint`) is applied to every leaf by `apply_hint`; in pog
     mode hints are assumed to be baked into the obligation already.
+    ``memo`` is handed to every `decide` call (see `Memo`).
     """
     deadline = time.perf_counter() + options.timeout_ms / 1000.0
     trace: list[TraceStep] = []
@@ -757,7 +821,7 @@ def prove_obligation(
     counterexample = None
     reasons: list[str] = []
     for s in leaves:
-        decision = _close(s, options, deadline, trace)
+        decision = _close(s, options, deadline, trace, memo)
         statuses.append(decision.status)
         reasons.append(decision.reason)
         if counterexample is None and decision.counterexample is not None:

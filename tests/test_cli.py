@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from conftest import FIXTURE_FILES, FIXTURES, run_cli, statuses_from
+from ebhint import cli, prover
 
 REPORT_KEYS = ["machine", "mode", "obligations", "summary"]
 OBLIGATION_KEYS = [
@@ -75,6 +78,24 @@ def test_check_dangling_refinement(tmp_path):
     result = run_cli("check", str(src))
     assert result.exit_code == 1
     assert "ghost" in result.output
+
+
+def test_check_machine_that_sees_a_context(tmp_path):
+    (tmp_path / "c0.ebh").write_text("context c0\nsets S\nconstants k\naxioms\n  ax1: k in NAT\nend\n")
+    ctx = tmp_path / "c1.ebh"
+    ctx.write_text("context c1 extends c0\nconstants m\naxioms\n  ax2: m = k + 1\nend\n")
+    machine = tmp_path / "m.ebh"
+    machine.write_text(
+        "machine m sees c1\nvariables x\ninvariants\n  i1: x <= m\nevents\n"
+        "  event e\n  where\n    g1: x < k\n  then\n    a1: x := x + 1\n  end\nend\n"
+    )
+    result = run_cli("check", str(machine))
+    assert (result.exit_code, result.output) == (0, "")
+    # a repeated label and an unknown name in the seen context
+    ctx.write_text("context c1 extends c0\nconstants m\naxioms\n  ax1: m = q\nend\n")
+    result = run_cli("check", str(machine))
+    assert result.exit_code == 1
+    assert [line.split(": ")[1] for line in result.output.splitlines()] == ["duplicate-label", "unknown-identifier"]
 
 
 def test_check_multiple_files_aggregate(tmp_path):
@@ -230,6 +251,45 @@ def test_prove_pog_hint_diagnostic_names_the_file(tmp_path):
     assert result.exit_code == 0
     assert f"{path}:12:5: unresolved-hint-label: " in result.output
     assert "<model>" not in result.output
+
+
+def test_prove_builds_one_memo_per_command(monkeypatch):
+    built, shared = [], []
+
+    class Recording(prover.Memo):
+        def __init__(self):
+            super().__init__()
+            built.append(weakref.ref(self))
+
+    def recording(*args, memo=None, **kwargs):
+        shared.append(memo is built[-1]())
+        return prover.prove_obligation(*args, memo=memo, **kwargs)
+
+    monkeypatch.setattr(cli, "Memo", Recording)
+    monkeypatch.setattr(cli, "prove_obligation", recording)
+    for mode in ("tactic", "pog"):
+        result = run_cli("prove", str(FIXTURES / "case0.ebh"), "--hint-mode", mode)
+        assert result.exit_code == 0
+        del result  # its traceback holds the command's frame
+    gc.collect()
+    assert len(built) == 2
+    assert len(shared) > 2 and all(shared)  # every obligation gets its command's memo
+    assert all(ref() is None for ref in built)  # and no memo outlives its command
+    assert not [v for v in vars(prover).values() if isinstance(v, prover.Memo)]
+
+
+@pytest.mark.parametrize("n", [1_000, 5_000])
+def test_prove_long_set_literal(tmp_path, n):
+    members = ", ".join(str(k) for k in range(n))
+    path = tmp_path / "set.ebh"
+    path.write_text(
+        f"machine m\nvariables x\ninvariants\n  i1: x in {{{members}}}\n"
+        "events\n  event e\n  then\n    a1: x := x + 1\n  end\nend\n"
+    )
+    result = run_cli("prove", str(path), "--timeout-ms", "200")
+    assert result.exit_code in (0, 1)
+    assert isinstance(result.exception, SystemExit)  # not a RecursionError
+    assert "Traceback" not in result.output
 
 
 def test_prove_timeout_flag_accepted():

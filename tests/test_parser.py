@@ -147,6 +147,26 @@ def test_fixture_pretty_print_round_trip(name):
     assert pretty_print(again) == printed
 
 
+ROUND_TRIP_SOURCES = {
+    "context": (
+        "context c1\nextends c0\nsets S T\nconstants k m\naxioms\n  ax1: k in NAT\n  ax2: m in S\n"
+        "theorems\n  th1: k + 1 in NAT\nend\n"
+    ),
+    "witness": (
+        "machine c\nrefines a\nvariables y\ninvariants\n  ic1: y in INT\nevents\n"
+        "  event step refines step\n  with\n    x': x' = y + 1\n  then\n    a2: y := y + 1\n  end\nend\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIP_SOURCES))
+def test_pretty_print_round_trip(kind):
+    first = parse_source(ROUND_TRIP_SOURCES[kind], kind)
+    printed = pretty_print(first)
+    assert parse_source(printed, kind) == first
+    assert printed == ROUND_TRIP_SOURCES[kind]  # already in canonical form
+
+
 def test_parse_is_deterministic():
     source = (FIXTURES / "case0.ebh").read_text()
     assert parse_source(source) == parse_source(source)

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURE_FILES, FIXTURES
 from ebhint import prover
 from ebhint.formula import Truth, evaluate
 from ebhint.model import Hypothesis, Sequent
 from ebhint.parser import load_model, parse_predicate
-from ebhint.pog import case_sequents, generate
+from ebhint.pog import apply_hints_pog, case_sequents, generate
 from ebhint.prover import (
     PROVED,
     UNPROVED,
@@ -263,6 +266,100 @@ def test_feasible_on_disjoint_systems_combines_the_parts(left, right):
             assert sample is None
         else:
             assert sample == {**left_sample, **right_sample}
+
+
+# --- long chains ---------------------------------------------------------------
+
+
+def _leaves_and_depth(tree, depth=0):
+    if tree[0] in ("and", "or"):
+        left, dl = _leaves_and_depth(tree[1], depth + 1)
+        right, dr = _leaves_and_depth(tree[2], depth + 1)
+        return left + right, max(dl, dr)
+    return [tree], depth
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 1_000])
+def test_balanced_chain_keeps_leaf_order_at_log_depth(n):
+    leaves = [("lit", ("set", "S", k), True) for k in range(n)]
+    tree = prover._balanced("or", leaves)
+    assert _leaves_and_depth(tree) == (leaves, (n - 1).bit_length())
+
+
+def test_decide_on_many_hypotheses():
+    hyps = tuple(p(f"x <= {k}") for k in range(2_000))
+    assert decide(hyps, p("x < 2000")).status == PROVED
+
+
+def test_decide_on_long_set_literal():
+    # the membership's tree, as a hypothesis and negated in the goal;
+    # the other side is false, so no search follows
+    members = "{" + ", ".join(str(k) for k in range(1_000)) + "}"
+    assert decide((p(f"x in {members}"),), p("x = x")).status == PROVED
+    assert decide((p("1 = 2"),), p(f"x in {members}")).status == PROVED
+
+
+def test_decide_search_deeper_than_the_recursion_limit():
+    # the only model, x = 300, lies 300 branches deep
+    members = "{" + ", ".join(str(k) for k in range(300)) + "}"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        d = decide((p("x >= 0"), p("x <= 300")), p(f"x in {members}"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d.counterexample == (("x", 300),)
+
+
+# --- one memo shared by many decide calls ----------------------------------------
+
+
+def recorded_decide(hyps, goal, memo=None):
+    """decide, and the branch counter of its search (None when it ran none)."""
+    searches = []
+
+    class Recording(prover._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    with mock.patch.object(prover, "_Search", Recording):
+        decision = decide(hyps, goal, memo=memo)
+    return decision, searches[0].visited if searches else None
+
+
+@functools.cache
+def memo_cases() -> tuple:
+    """`PINNED` and every decide call that proving the fixtures makes in
+    both hint modes, each with its result under a fresh memo."""
+    calls = [(tuple(p(h) for h in hyps), p(goal)) for hyps, goal in PINNED]
+
+    def recording(hyps, goal, *args, **kwargs):
+        calls.append((hyps, goal))
+        return decide(hyps, goal, *args, **kwargs)
+
+    with mock.patch.object(prover, "decide", recording):
+        for name in FIXTURE_FILES:
+            model, _ = load_model(FIXTURES / name)
+            poset = generate(model)
+            for po in poset.obligations:
+                prove_obligation(po, model.machine.event_hints(po.origin.event))
+            for po in apply_hints_pog(poset, model)[0].obligations:
+                prove_obligation(po, mode="pog")
+    return tuple((case, recorded_decide(*case)) for case in calls)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(sequents(), max_size=6), st.data())
+def test_shared_memo_gives_the_same_search(extra, data):
+    cases = list(memo_cases())
+    for s in extra:
+        case = (tuple(h.predicate for h in s.hypotheses), s.goal)
+        cases.append((case, recorded_decide(*case)))
+    memo = prover.Memo()
+    for i in data.draw(st.permutations(range(len(cases)))):
+        case, fresh = cases[i]
+        assert recorded_decide(*case, memo=memo) == fresh
 
 
 # --- tactics -------------------------------------------------------------------
