@@ -8,6 +8,7 @@ equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import count
 from typing import Iterator
 
@@ -120,13 +121,18 @@ class Machine:
                 return e
         return None
 
+    @cached_property
+    def _hints_by_event(self) -> dict[str, tuple[Hint, ...]]:
+        out: dict[str, tuple[Hint, ...]] = {}
+        for e in self.events + ((self.initialisation,) if self.initialisation else ()):
+            out.setdefault(e.name, e.hints)  # the first event of a name wins
+        return out
+
     def event_hints(self, name: str | None) -> tuple[Hint, ...]:
         """The hints of the event called ``name``, the initialisation
-        included; none when there is no such event."""
-        for e in self.events + ((self.initialisation,) if self.initialisation else ()):
-            if e.name == name:
-                return e.hints
-        return ()
+        included; none when there is no such event.  The lookup map is
+        built on the first call and lives as long as the machine."""
+        return self._hints_by_event.get(name, ())
 
     def invariant_labels(self) -> tuple[str, ...]:
         return tuple(i.label for i in self.invariants)

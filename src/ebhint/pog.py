@@ -3,15 +3,21 @@
 Builds the obligation set for a machine: invariant preservation (INV),
 theorems (THM), and for refinements guard strengthening (GRD), action
 simulation (SIM), witness feasibility (WFIS) and merge correctness
-(MRG).  Also hosts the hint interpreter (`apply_hint`), which the
-prover runs as a tactic and `apply_hints_pog` runs to rewrite the
-obligations ahead of proving, and the normalisation step used when
-exporting sequents.
+(MRG).  One `generate` call builds what depends only on the model once
+(the two fact tuples, for the initialisation and for other events, and
+each invariant primed once per primed-name set) and what depends only
+on an event once per event (its guard, before-after and witness
+hypotheses, `_EventHyps`); an INV obligation selects its invariant by
+position.  Nothing outlives the call.  Also hosts the hint interpreter
+(`apply_hint`), which the prover runs as a tactic and `apply_hints_pog`
+runs to rewrite the obligations ahead of proving, and the normalisation
+step used when exporting sequents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable, NamedTuple
 
 from .diagnostics import Diagnostic
 from .formula import (
@@ -98,20 +104,8 @@ def before_after(event: Event, variables: tuple[str, ...]) -> tuple[BaConjunct, 
 # --- hypothesis assembly -----------------------------------------------------
 
 
-def _fact_hyps(model: Model, event: Event) -> tuple[Hypothesis, ...]:
-    """Visible facts, never selected by default.  The initialisation has
-    no pre-state, so it only sees context facts."""
-    if event.is_initialisation:
-        facts: tuple[LabeledPredicate, ...] = model.context_axioms() + model.context_theorems()
-        return tuple(Hypothesis(f.label, f.predicate) for f in facts)
-    return tuple(Hypothesis(f.label, f.predicate) for f in model.visible_facts())
-
-
-def _guard_hyps(event: Event) -> tuple[Hypothesis, ...]:
-    return tuple(
-        Hypothesis(lp.label, lp.predicate, selected=True)
-        for lp in event.guards + event.guard_theorems
-    )
+def _hyps(facts: Iterable[LabeledPredicate], selected: bool = False) -> tuple[Hypothesis, ...]:
+    return tuple(Hypothesis(f.label, f.predicate, selected) for f in facts)
 
 
 def _ba_hyps(model: Model, event: Event) -> tuple[Hypothesis, ...]:
@@ -122,23 +116,38 @@ def _ba_hyps(model: Model, event: Event) -> tuple[Hypothesis, ...]:
     if model.abstract is not None and not event.refines and not event.is_initialisation:
         # A new event leaves the abstract state alone: frame conjuncts
         # for disappearing variables stand in for the missing witnesses.
-        for v in model.disappearing_variables():
-            hyps.append(
-                Hypothesis(
-                    "BA:" + v,
-                    Comparison("=", Ident(v, primed=True), Ident(v)),
-                    selected=True,
-                )
-            )
+        hyps += (
+            Hypothesis("BA:" + v, Comparison("=", Ident(v, primed=True), Ident(v)), selected=True)
+            for v in model.disappearing_variables()
+        )
     return tuple(hyps)
 
 
-def _witness_hyps(event: Event, primed: bool | None = None) -> tuple[Hypothesis, ...]:
-    return tuple(
-        Hypothesis(w.subject.key, w.predicate, selected=True)
-        for w in event.witnesses
-        if primed is None or w.subject.primed == primed
-    )
+class _EventHyps(NamedTuple):
+    """An event's hypothesis groups, shared by all its obligations."""
+
+    facts: tuple[Hypothesis, ...]  # visible facts, unselected
+    guards: tuple[Hypothesis, ...]  # guards, then guard theorems
+    ba: tuple[Hypothesis, ...]
+    witnesses: tuple[Hypothesis, ...]
+
+
+def _label_positions(hyps: tuple[Hypothesis, ...]) -> dict[str, list[int]]:
+    where: dict[str, list[int]] = {}
+    for i, h in enumerate(hyps):
+        where.setdefault(h.label, []).append(i)
+    return where
+
+
+def _select_at(hyps: tuple[Hypothesis, ...], positions: Iterable[int]) -> tuple[Hypothesis, ...]:
+    """``hyps`` with those at ``positions`` selected; at the positions of
+    a label (`_label_positions`) this is `Sequent.select` of it."""
+    out = list(hyps)
+    for i in positions:
+        h = out[i]
+        if not h.selected:
+            out[i] = Hypothesis(h.label, h.predicate, selected=True)
+    return tuple(out)
 
 
 # --- obligation families -----------------------------------------------------
@@ -165,110 +174,89 @@ def _context_theorem_pos(model: Model) -> list[ProofObligation]:
     return out
 
 
-def _machine_theorem_pos(model: Model) -> list[ProofObligation]:
+def _machine_theorem_pos(model: Model, facts: tuple[Hypothesis, ...]) -> list[ProofObligation]:
+    """Each machine theorem is proved from the selected visible ``facts``
+    (`Model.visible_facts`, which end in these theorems) before it."""
     m = model.machine
-    base: list[Hypothesis] = [
-        Hypothesis(f.label, f.predicate, selected=True)
-        for f in model.context_axioms() + model.context_theorems()
+    first = len(facts) - len(m.theorems)
+    return [
+        ProofObligation(
+            f"{m.name}/{th.label}/THM",
+            KIND_THM,
+            Sequent(facts[: first + i], th.predicate),
+            Origin(m.name, label=th.label),
+        )
+        for i, th in enumerate(m.theorems)
     ]
-    if model.abstract:
-        for lp in model.abstract.machine.invariants + model.abstract.machine.theorems:
-            base.append(Hypothesis(lp.label, lp.predicate, selected=True))
-    for lp in m.invariants:
-        base.append(Hypothesis(lp.label, lp.predicate, selected=True))
-    out: list[ProofObligation] = []
-    for i, th in enumerate(m.theorems):
-        prior = [Hypothesis(t.label, t.predicate, selected=True) for t in m.theorems[:i]]
-        out.append(
-            ProofObligation(
-                f"{m.name}/{th.label}/THM",
-                KIND_THM,
-                Sequent(tuple(base + prior), th.predicate),
-                Origin(m.name, label=th.label),
-            )
+
+
+def _guard_theorem_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofObligation]:
+    if not event.guard_theorems:
+        return []
+    facts = _select_at(hyps.facts, range(len(hyps.facts)))
+    return [
+        ProofObligation(
+            f"{event.name}/{th.label}/THM",
+            KIND_THM,
+            # the guards, then the guard theorems stated before this one
+            Sequent(facts + hyps.guards[: len(event.guards) + i], th.predicate),
+            Origin(model.machine.name, event.name, th.label),
         )
-    return out
+        for i, th in enumerate(event.guard_theorems)
+    ]
 
 
-def _guard_theorem_pos(model: Model, event: Event) -> list[ProofObligation]:
-    m = model.machine
-    facts = tuple(replace(h, selected=True) for h in _fact_hyps(model, event))
-    guards = tuple(Hypothesis(lp.label, lp.predicate, selected=True) for lp in event.guards)
-    out: list[ProofObligation] = []
-    for i, th in enumerate(event.guard_theorems):
-        prior = tuple(
-            Hypothesis(t.label, t.predicate, selected=True)
-            for t in event.guard_theorems[:i]
-        )
-        out.append(
-            ProofObligation(
-                f"{event.name}/{th.label}/THM",
-                KIND_THM,
-                Sequent(facts + guards + prior, th.predicate),
-                Origin(m.name, event.name, th.label),
-            )
-        )
-    return out
-
-
-def _merge_po(model: Model, event: Event) -> ProofObligation:
+def _merge_po(model: Model, event: Event, hyps: _EventHyps) -> ProofObligation:
     abstract_events = [model.abstract_event(r) for r in event.refines]
     goal = disjunction(
         tuple(conjunction(tuple(g.predicate for g in ae.guards)) for ae in abstract_events if ae)
     )
-    hyps = _fact_hyps(model, event) + _guard_hyps(event)
     return ProofObligation(
         f"{event.name}/MRG",
         KIND_MRG,
-        Sequent(hyps, goal),
+        Sequent(hyps.facts + hyps.guards, goal),
         Origin(model.machine.name, event.name),
     )
 
 
-def _guard_strengthening_pos(model: Model, event: Event) -> list[ProofObligation]:
+def _guard_strengthening_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofObligation]:
     ae = model.abstract_event(event.refines[0])
     if ae is None:
         return []
-    hyps = _fact_hyps(model, event) + _guard_hyps(event) + _witness_hyps(event, primed=False)
+    parameter_witnesses = tuple(
+        h for h, w in zip(hyps.witnesses, event.witnesses) if not w.subject.primed
+    )
+    seq_hyps = hyps.facts + hyps.guards + parameter_witnesses
     return [
         ProofObligation(
             f"{event.name}/{g.label}/GRD",
             KIND_GRD,
-            Sequent(hyps, g.predicate),
+            Sequent(seq_hyps, g.predicate),
             Origin(model.machine.name, event.name, g.label),
         )
         for g in ae.guards
     ]
 
 
-def _wfis_pos(model: Model, event: Event) -> list[ProofObligation]:
-    out: list[ProofObligation] = []
-    for w in event.witnesses:
-        hyps = _fact_hyps(model, event) + _guard_hyps(event)
-        if w.subject.primed:
-            hyps += _ba_hyps(model, event)
-        goal = Quantifier("exists", (w.subject,), w.predicate)
-        out.append(
-            ProofObligation(
-                f"{event.name}/{w.subject.key}/WFIS",
-                KIND_WFIS,
-                Sequent(hyps, goal),
-                Origin(model.machine.name, event.name, w.subject.key),
-            )
+def _wfis_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofObligation]:
+    pre = hyps.facts + hyps.guards
+    post = pre + hyps.ba
+    return [
+        ProofObligation(
+            f"{event.name}/{w.subject.key}/WFIS",
+            KIND_WFIS,
+            Sequent(post if w.subject.primed else pre, Quantifier("exists", (w.subject,), w.predicate)),
+            Origin(model.machine.name, event.name, w.subject.key),
         )
-    return out
+        for w in event.witnesses
+    ]
 
 
-def _simulation_pos(model: Model, event: Event) -> list[ProofObligation]:
+def _simulation_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofObligation]:
     ae = model.abstract_event(event.refines[0])
     if ae is None or model.abstract is None:
         return []
-    hyps = (
-        _fact_hyps(model, event)
-        + _guard_hyps(event)
-        + _ba_hyps(model, event)
-        + _witness_hyps(event)
-    )
+    seq_hyps = hyps.facts + hyps.guards + hyps.ba + hyps.witnesses
     out: list[ProofObligation] = []
     for c in before_after(ae, model.abstract.machine.variables):
         label = c.action_label or c.label
@@ -276,38 +264,28 @@ def _simulation_pos(model: Model, event: Event) -> list[ProofObligation]:
             ProofObligation(
                 f"{event.name}/{label}/SIM",
                 KIND_SIM,
-                Sequent(hyps, c.predicate),
+                Sequent(seq_hyps, c.predicate),
                 Origin(model.machine.name, event.name, label),
             )
         )
     return out
 
 
-def _invariant_pos(model: Model, event: Event) -> list[ProofObligation]:
+def _invariant_pos(model: Model, event: Event, hyps: _EventHyps, goals: tuple[Predicate, ...]) -> list[ProofObligation]:
+    """One obligation per invariant, its primed form in ``goals``; outside
+    the initialisation each selects its invariant."""
     m = model.machine
-    hyps = (
-        _fact_hyps(model, event)
-        + _guard_hyps(event)
-        + _ba_hyps(model, event)
-        + _witness_hyps(event)
-    )
-    primed_names = set(m.variables)
-    if not event.is_initialisation:
-        primed_names |= set(model.abstract_variables())
-    out: list[ProofObligation] = []
-    for inv in m.invariants:
-        seq = Sequent(hyps, prime(inv.predicate, primed_names))
-        if not event.is_initialisation:
-            seq = seq.select({inv.label})
-        out.append(
-            ProofObligation(
-                f"{event.name}/{inv.label}/INV",
-                KIND_INV,
-                seq,
-                Origin(m.name, event.name, inv.label),
-            )
+    seq_hyps = hyps.facts + hyps.guards + hyps.ba + hyps.witnesses
+    where = {} if event.is_initialisation else _label_positions(seq_hyps)
+    return [
+        ProofObligation(
+            f"{event.name}/{inv.label}/INV",
+            KIND_INV,
+            Sequent(_select_at(seq_hyps, where.get(inv.label, ())), goal),
+            Origin(m.name, event.name, inv.label),
         )
-    return out
+        for inv, goal in zip(m.invariants, goals)
+    ]
 
 
 def generate(model: Model) -> PoSet:
@@ -317,20 +295,30 @@ def generate(model: Model) -> PoSet:
     `apply_hints_pog` or as a tactic of the prover.
     """
     m = model.machine
-    pos: list[ProofObligation] = []
-    pos.extend(_context_theorem_pos(model))
-    pos.extend(_machine_theorem_pos(model))
-    events = ((m.initialisation,) if m.initialisation else ()) + m.events
-    for event in events:
-        pos.extend(_guard_theorem_pos(model, event))
+    facts = _hyps(model.visible_facts())
+    init_facts = _hyps(model.context_axioms() + model.context_theorems())  # no pre-state
+    pos = _context_theorem_pos(model) + _machine_theorem_pos(model, _hyps(model.visible_facts(), True))
+    state = set(m.variables)
+    init_goals = tuple(prime(inv.predicate, state) for inv in m.invariants)
+    refined = state | set(model.abstract_variables())
+    goals = init_goals if refined == state else tuple(prime(inv.predicate, refined) for inv in m.invariants)
+    for event in ((m.initialisation,) if m.initialisation else ()) + m.events:
+        init = event.is_initialisation
+        hyps = _EventHyps(
+            init_facts if init else facts,
+            _hyps(event.guards + event.guard_theorems, True),
+            _ba_hyps(model, event),
+            tuple(Hypothesis(w.subject.key, w.predicate, selected=True) for w in event.witnesses),
+        )
+        pos.extend(_guard_theorem_pos(model, event, hyps))
         if len(event.refines) >= 2:
-            pos.append(_merge_po(model, event))
+            pos.append(_merge_po(model, event, hyps))
         elif len(event.refines) == 1:
-            pos.extend(_guard_strengthening_pos(model, event))
-        pos.extend(_wfis_pos(model, event))
+            pos.extend(_guard_strengthening_pos(model, event, hyps))
+        pos.extend(_wfis_pos(model, event, hyps))
         if event.refines:
-            pos.extend(_simulation_pos(model, event))
-        pos.extend(_invariant_pos(model, event))
+            pos.extend(_simulation_pos(model, event, hyps))
+        pos.extend(_invariant_pos(model, event, hyps, init_goals if init else goals))
     return PoSet(m.name, "tactic", tuple(pos))
 
 

@@ -1,10 +1,16 @@
-"""Golden output: the CLI/JSON contract, byte for byte, on the fixtures.
+"""Golden output: the CLI/JSON contract, byte for byte.
 
 `golden/cli.json` holds, for every fixture and hint mode, the output of
 `pos --format json`, the text output and the JSON report of
 `prove --json` (with each `durationMillis` value blanked), and the
-`export-smt` script of every obligation.  A change that alters any of
-it changes the contract; write the new expectation on purpose with
+`export-smt` script of every obligation.  `golden/generate.json` pins
+obligation generation on the models under `tests/models/`, which reach
+the families the fixtures do not (context and machine theorems, guard
+theorems, GRD, WFIS on primed and unprimed witnesses, frames for
+disappearing variables, initialisation INV): `pos --format json` and
+the `export-smt` script of every obligation, in both hint modes.  A
+change that alters any of it changes the contract; write the new
+expectation on purpose with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -12,6 +18,7 @@ it changes the contract; write the new expectation on purpose with
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 import tempfile
@@ -22,6 +29,9 @@ import pytest
 from conftest import FIXTURE_FILES, FIXTURES, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+GENERATE_GOLDEN = GOLDEN.with_name("generate.json")
+MODELS = Path(__file__).resolve().parent / "models"
+MODEL_FILES = ("gen_abstract.ebh", "gen_concrete.ebh")
 MODES = ("tactic", "pog")
 
 
@@ -43,6 +53,22 @@ def snapshot(name: str, mode: str, work: Path) -> dict:
     }
 
 
+def generate_snapshot(name: str, mode: str) -> dict:
+    """Run from `tests/models/`, so that diagnostics name the bare file."""
+    here = os.getcwd()
+    os.chdir(MODELS)
+    try:
+        pos = run_cli("pos", name, "--hint-mode", mode, "--format", "json")
+        report = pos.output[pos.output.index("{\n") :]  # after any hint diagnostics
+        names = [po["name"] for po in json.loads(report)["obligations"]]
+        return {
+            "pos": _output(pos),
+            "export-smt": {po: _output(run_cli("export-smt", name, po, "--hint-mode", mode)) for po in names},
+        }
+    finally:
+        os.chdir(here)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", FIXTURE_FILES)
 def test_cli_output_matches_golden(name, mode, tmp_path):
@@ -50,9 +76,20 @@ def test_cli_output_matches_golden(name, mode, tmp_path):
     assert snapshot(name, mode, tmp_path) == expected
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", MODEL_FILES)
+def test_generated_obligations_match_golden(name, mode):
+    expected = json.loads(GENERATE_GOLDEN.read_text(encoding="utf-8"))[f"{name} {mode}"]
+    assert generate_snapshot(name, mode) == expected
+
+
+def _write(path: Path, golden: dict) -> None:
+    path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as work:
-        golden = {f"{n} {m}": snapshot(n, m, Path(work)) for n in FIXTURE_FILES for m in MODES}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        _write(GOLDEN, {f"{n} {m}": snapshot(n, m, Path(work)) for n in FIXTURE_FILES for m in MODES})
+    _write(GENERATE_GOLDEN, {f"{n} {m}": generate_snapshot(n, m) for n in MODEL_FILES for m in MODES})

@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from conftest import FIXTURE_FILES, FIXTURES
-from ebhint.model import Model
+from ebhint.model import (
+    INITIALISATION,
+    USE_HYPOTHESIS,
+    Event,
+    Hint,
+    Hypothesis,
+    Machine,
+    Model,
+    Sequent,
+)
 from ebhint.parser import load_model, parse_predicate, parse_source
 from ebhint.pog import (
+    _label_positions,
+    _select_at,
     apply_hints_pog,
     before_after,
     case_sequents,
@@ -260,6 +272,28 @@ def test_po_count_law_on_corpus():
         assert len(inv) == expected, name
 
 
+def test_select_at_label_positions_equals_select():
+    """INV obligations select their invariant by position; that must be
+    `Sequent.select` of its label, also when the label is already
+    selected or stands on several hypotheses."""
+    x = parse_predicate("x = 1")
+    hyps = (
+        Hypothesis("a", x),
+        Hypothesis("b", x, selected=True),
+        Hypothesis("a", parse_predicate("x = 2")),
+        Hypothesis("c", x),
+        Hypothesis("a", x, selected=True),
+        Hypothesis("b", x),
+    )
+    where = _label_positions(hyps)
+    assert where == {"a": [0, 2, 4], "b": [1, 5], "c": [3]}
+    seq = Sequent(hyps, x)
+    for label in ("a", "b", "c", "missing"):
+        selected = Sequent(_select_at(hyps, where.get(label, ())), x)
+        assert selected == seq.select({label})
+    assert _select_at(hyps, ()) == hyps
+
+
 # --- pog-mode hint application ------------------------------------------------
 
 
@@ -315,6 +349,23 @@ def test_event_hints_cover_initialisation(init_split_model):
     assert model.machine.event_hints(None) == ()
     machine = load("case0.ebh").machine
     assert machine.event_hints("set") == machine.event("set").hints
+
+
+def test_event_hints_first_event_of_a_name_wins():
+    first = Hint(USE_HYPOTHESIS, "i1", label="ax1")
+    second = Hint(USE_HYPOTHESIS, "i1", label="ax2")
+    init = Hint(USE_HYPOTHESIS, "i1", label="ax3")
+    machine = Machine(
+        "m",
+        events=(Event("e", hints=(first,)), Event("e", hints=(second,)), Event(INITIALISATION)),
+        initialisation=Event(INITIALISATION, hints=(init,)),
+    )
+    assert machine.event_hints("e") == (first,)
+    assert machine.event_hints(INITIALISATION) == ()
+    assert replace(machine, events=()).event_hints(INITIALISATION) == (init,)
+    assert replace(machine, events=machine.events[1:]).event_hints("e") == (second,)
+    assert machine.without_hints().event_hints("e") == ()
+    assert machine.event_hints("e") == (first,)
 
 
 def test_without_hints_strips_initialisation_hints(init_split_model):
