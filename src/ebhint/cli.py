@@ -163,7 +163,7 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
     for po in poset.obligations:
         hints = model.machine.event_hints(po.origin.event) if hint_mode == "tactic" else ()
         start = time.perf_counter()
-        result = prove_obligation(po, hints, mode=hint_mode, options=options, memo=memo)
+        result = prove_obligation(po, hints, options=options, memo=memo)
         results.append((result, (time.perf_counter() - start) * 1000.0))
         click.echo(f"{result.status.upper()} {result.name}")
 

@@ -15,8 +15,7 @@ their *key*: the name with a trailing apostrophe when primed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class Loc(NamedTuple):
@@ -268,18 +267,23 @@ def prime(f: Formula, names: Iterable[str]) -> Formula:
     return substitute(f, {n: Ident(n, primed=True) for n in names})
 
 
+def balanced(join: Callable, items: list):
+    """The items joined by ``join``, in order, as a tree of depth
+    ceil(log2 n), so that the recursive walkers stay shallow on long
+    chains."""
+    while len(items) > 1:
+        items = [join(*items[i : i + 2]) if i + 1 < len(items) else items[i] for i in range(0, len(items), 2)]
+    return items[0]
+
+
 def conjunction(preds: Iterable[Predicate]) -> Predicate:
     items = list(preds)
-    if not items:
-        return Truth()
-    return reduce(And, items)
+    return balanced(And, items) if items else Truth()
 
 
 def disjunction(preds: Iterable[Predicate]) -> Predicate:
     items = list(preds)
-    if not items:
-        return Falsity()
-    return reduce(Or, items)
+    return balanced(Or, items) if items else Falsity()
 
 
 class Unevaluable(Exception):

@@ -134,9 +134,6 @@ class Machine:
         built on the first call and lives as long as the machine."""
         return self._hints_by_event.get(name, ())
 
-    def invariant_labels(self) -> tuple[str, ...]:
-        return tuple(i.label for i in self.invariants)
-
     def without_hints(self) -> "Machine":
         init = self.initialisation and replace(self.initialisation, hints=())
         events = tuple(replace(e, hints=()) for e in self.events)
@@ -278,7 +275,6 @@ class ProofObligation:
 @dataclass(frozen=True)
 class PoSet:
     source_machine: str
-    mode: str  # "tactic" | "pog"
     obligations: tuple[ProofObligation, ...]
 
     def names(self) -> tuple[str, ...]:

@@ -183,11 +183,6 @@ def lex(text: str, path: str = "<string>") -> list[Token]:
             i += 2
             col += 2
             continue
-        if ch == ":" and i + 1 < n and text[i + 1] == "|":
-            tokens.append(Token(":|", ":|", loc()))
-            i += 2
-            col += 2
-            continue
         for sym in _SYMBOLS:
             if text.startswith(sym, i):
                 tokens.append(Token(sym, sym, loc()))

@@ -3,7 +3,11 @@
 Builds the obligation set for a machine: invariant preservation (INV),
 theorems (THM), and for refinements guard strengthening (GRD), action
 simulation (SIM), witness feasibility (WFIS) and merge correctness
-(MRG).  One `generate` call builds what depends only on the model once
+(MRG).  Every obligation is named after its origin:
+``{event or owner}/{label}/{KIND}``, or ``{event}/MRG`` for a merge,
+which has no label; the owner is the machine or context.  A theorem is
+proved from what precedes it plus the theorems stated before it.  One
+`generate` call builds what depends only on the model once
 (the two fact tuples, for the initialisation and for other events, and
 each invariant primed once per primed-name set) and what depends only
 on an event once per event (its guard, before-after and witness
@@ -53,7 +57,7 @@ from .model import (
     Sequent,
     USE_HYPOTHESIS,
 )
-from .printer import print_formula
+from .printer import print_hint
 
 
 @dataclass(frozen=True)
@@ -153,56 +157,22 @@ def _select_at(hyps: tuple[Hypothesis, ...], positions: Iterable[int]) -> tuple[
 # --- obligation families -----------------------------------------------------
 
 
-def _context_theorem_pos(model: Model) -> list[ProofObligation]:
-    """Each context theorem is proved from the axioms of its visibility
-    chain so far plus previously stated theorems."""
-    out: list[ProofObligation] = []
-    prior: list[Hypothesis] = []
-    for ctx in model.contexts:
-        for ax in ctx.axioms:
-            prior.append(Hypothesis(ax.label, ax.predicate, selected=True))
-        for th in ctx.theorems:
-            out.append(
-                ProofObligation(
-                    f"{ctx.name}/{th.label}/THM",
-                    KIND_THM,
-                    Sequent(tuple(prior), th.predicate),
-                    Origin(ctx.name, label=th.label),
-                )
-            )
-            prior.append(Hypothesis(th.label, th.predicate, selected=True))
-    return out
+def _po(kind: str, origin: Origin, hypotheses: tuple[Hypothesis, ...], goal: Predicate) -> ProofObligation:
+    """The obligation named after its origin: ``{event or owner}/{label}/{KIND}``,
+    or ``{event}/{KIND}`` when there is no label."""
+    owner = origin.event or origin.machine
+    name = f"{owner}/{kind}" if origin.label is None else f"{owner}/{origin.label}/{kind}"
+    return ProofObligation(name, kind, Sequent(hypotheses, goal), origin)
 
 
-def _machine_theorem_pos(model: Model, facts: tuple[Hypothesis, ...]) -> list[ProofObligation]:
-    """Each machine theorem is proved from the selected visible ``facts``
-    (`Model.visible_facts`, which end in these theorems) before it."""
-    m = model.machine
-    first = len(facts) - len(m.theorems)
+def _theorem_pos(
+    before: tuple[Hypothesis, ...], theorems: tuple[LabeledPredicate, ...], origin: Origin
+) -> list[ProofObligation]:
+    """Theorem i is proved from ``before`` plus theorems 0..i-1, all selected."""
+    hyps = before + _hyps(theorems, True)
     return [
-        ProofObligation(
-            f"{m.name}/{th.label}/THM",
-            KIND_THM,
-            Sequent(facts[: first + i], th.predicate),
-            Origin(m.name, label=th.label),
-        )
-        for i, th in enumerate(m.theorems)
-    ]
-
-
-def _guard_theorem_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofObligation]:
-    if not event.guard_theorems:
-        return []
-    facts = _select_at(hyps.facts, range(len(hyps.facts)))
-    return [
-        ProofObligation(
-            f"{event.name}/{th.label}/THM",
-            KIND_THM,
-            # the guards, then the guard theorems stated before this one
-            Sequent(facts + hyps.guards[: len(event.guards) + i], th.predicate),
-            Origin(model.machine.name, event.name, th.label),
-        )
-        for i, th in enumerate(event.guard_theorems)
+        _po(KIND_THM, replace(origin, label=th.label), hyps[: len(before) + i], th.predicate)
+        for i, th in enumerate(theorems)
     ]
 
 
@@ -211,12 +181,7 @@ def _merge_po(model: Model, event: Event, hyps: _EventHyps) -> ProofObligation:
     goal = disjunction(
         tuple(conjunction(tuple(g.predicate for g in ae.guards)) for ae in abstract_events if ae)
     )
-    return ProofObligation(
-        f"{event.name}/MRG",
-        KIND_MRG,
-        Sequent(hyps.facts + hyps.guards, goal),
-        Origin(model.machine.name, event.name),
-    )
+    return _po(KIND_MRG, Origin(model.machine.name, event.name), hyps.facts + hyps.guards, goal)
 
 
 def _guard_strengthening_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofObligation]:
@@ -228,12 +193,7 @@ def _guard_strengthening_pos(model: Model, event: Event, hyps: _EventHyps) -> li
     )
     seq_hyps = hyps.facts + hyps.guards + parameter_witnesses
     return [
-        ProofObligation(
-            f"{event.name}/{g.label}/GRD",
-            KIND_GRD,
-            Sequent(seq_hyps, g.predicate),
-            Origin(model.machine.name, event.name, g.label),
-        )
+        _po(KIND_GRD, Origin(model.machine.name, event.name, g.label), seq_hyps, g.predicate)
         for g in ae.guards
     ]
 
@@ -242,11 +202,11 @@ def _wfis_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofObligat
     pre = hyps.facts + hyps.guards
     post = pre + hyps.ba
     return [
-        ProofObligation(
-            f"{event.name}/{w.subject.key}/WFIS",
+        _po(
             KIND_WFIS,
-            Sequent(post if w.subject.primed else pre, Quantifier("exists", (w.subject,), w.predicate)),
             Origin(model.machine.name, event.name, w.subject.key),
+            post if w.subject.primed else pre,
+            Quantifier("exists", (w.subject,), w.predicate),
         )
         for w in event.witnesses
     ]
@@ -257,18 +217,10 @@ def _simulation_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofO
     if ae is None or model.abstract is None:
         return []
     seq_hyps = hyps.facts + hyps.guards + hyps.ba + hyps.witnesses
-    out: list[ProofObligation] = []
-    for c in before_after(ae, model.abstract.machine.variables):
-        label = c.action_label or c.label
-        out.append(
-            ProofObligation(
-                f"{event.name}/{label}/SIM",
-                KIND_SIM,
-                Sequent(seq_hyps, c.predicate),
-                Origin(model.machine.name, event.name, label),
-            )
-        )
-    return out
+    return [
+        _po(KIND_SIM, Origin(model.machine.name, event.name, c.action_label or c.label), seq_hyps, c.predicate)
+        for c in before_after(ae, model.abstract.machine.variables)
+    ]
 
 
 def _invariant_pos(model: Model, event: Event, hyps: _EventHyps, goals: tuple[Predicate, ...]) -> list[ProofObligation]:
@@ -278,12 +230,7 @@ def _invariant_pos(model: Model, event: Event, hyps: _EventHyps, goals: tuple[Pr
     seq_hyps = hyps.facts + hyps.guards + hyps.ba + hyps.witnesses
     where = {} if event.is_initialisation else _label_positions(seq_hyps)
     return [
-        ProofObligation(
-            f"{event.name}/{inv.label}/INV",
-            KIND_INV,
-            Sequent(_select_at(seq_hyps, where.get(inv.label, ())), goal),
-            Origin(m.name, event.name, inv.label),
-        )
+        _po(KIND_INV, Origin(m.name, event.name, inv.label), _select_at(seq_hyps, where.get(inv.label, ())), goal)
         for inv, goal in zip(m.invariants, goals)
     ]
 
@@ -297,7 +244,14 @@ def generate(model: Model) -> PoSet:
     m = model.machine
     facts = _hyps(model.visible_facts())
     init_facts = _hyps(model.context_axioms() + model.context_theorems())  # no pre-state
-    pos = _context_theorem_pos(model) + _machine_theorem_pos(model, _hyps(model.visible_facts(), True))
+    pos: list[ProofObligation] = []
+    before: tuple[Hypothesis, ...] = ()
+    for ctx in model.contexts:  # each context sees the axioms and theorems of its chain so far
+        before += _hyps(ctx.axioms, True)
+        pos.extend(_theorem_pos(before, ctx.theorems, Origin(ctx.name)))
+        before += _hyps(ctx.theorems, True)
+    selected = _hyps(model.visible_facts(), True)  # these end in the machine's theorems
+    pos.extend(_theorem_pos(selected[: len(selected) - len(m.theorems)], m.theorems, Origin(m.name)))
     state = set(m.variables)
     init_goals = tuple(prime(inv.predicate, state) for inv in m.invariants)
     refined = state | set(model.abstract_variables())
@@ -310,7 +264,9 @@ def generate(model: Model) -> PoSet:
             _ba_hyps(model, event),
             tuple(Hypothesis(w.subject.key, w.predicate, selected=True) for w in event.witnesses),
         )
-        pos.extend(_guard_theorem_pos(model, event, hyps))
+        if event.guard_theorems:  # proved from the facts and the guards, all selected
+            facts_and_guards = _select_at(hyps.facts, range(len(hyps.facts))) + hyps.guards[: len(event.guards)]
+            pos.extend(_theorem_pos(facts_and_guards, event.guard_theorems, Origin(m.name, event.name)))
         if len(event.refines) >= 2:
             pos.append(_merge_po(model, event, hyps))
         elif len(event.refines) == 1:
@@ -319,17 +275,10 @@ def generate(model: Model) -> PoSet:
         if event.refines:
             pos.extend(_simulation_pos(model, event, hyps))
         pos.extend(_invariant_pos(model, event, hyps, init_goals if init else goals))
-    return PoSet(m.name, "tactic", tuple(pos))
+    return PoSet(m.name, tuple(pos))
 
 
 # --- hint application ---------------------------------------------------------
-
-
-def describe_hint(hint: Hint) -> str:
-    if hint.kind == USE_HYPOTHESIS:
-        return f"use {hint.label} for {hint.target}"
-    assert hint.predicate is not None
-    return f"split case using {print_formula(hint.predicate)} for {hint.target}"
 
 
 def obligation_hint(po: ProofObligation, hints: tuple[Hint, ...]) -> Hint | None:
@@ -400,11 +349,11 @@ def apply_hints_pog(poset: PoSet, model: Model) -> tuple[PoSet, list[Diagnostic]
                 )
             out.append(po)
         elif len(sequents) == 1:
-            out.append(replace(po, sequent=sequents[0], hint_applied=describe_hint(hint)))
+            out.append(replace(po, sequent=sequents[0], hint_applied=print_hint(hint)))
         else:
             for suffix, seq in zip(("/case1", "/case2"), sequents):
-                out.append(ProofObligation(po.name + suffix, po.kind, seq, po.origin, describe_hint(hint)))
-    return PoSet(poset.source_machine, "pog", tuple(out)), diags
+                out.append(ProofObligation(po.name + suffix, po.kind, seq, po.origin, print_hint(hint)))
+    return PoSet(poset.source_machine, tuple(out)), diags
 
 
 # --- misc --------------------------------------------------------------------

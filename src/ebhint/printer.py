@@ -137,7 +137,8 @@ def _print_action(a: Assignment) -> str:
     return f"{a.label}: {', '.join(a.targets)} {_ASSIGN_OP[a.kind]} {print_formula(a.rhs)}"
 
 
-def _print_hint(h: Hint) -> str:
+def print_hint(h: Hint) -> str:
+    """The hint as written in a model, and as the ``hintApplied`` text."""
     if h.kind == SPLIT_CASE:
         return f"split case using {print_formula(h.predicate)} for {h.target}"
     return f"use {h.label} for {h.target}"
@@ -163,7 +164,7 @@ def _print_event(out: list[str], e: Event) -> None:
     if e.hints:
         out.append("  hints")
         for h in e.hints:
-            out.append(f"    {_print_hint(h)}")
+            out.append(f"    {print_hint(h)}")
     out.append("  end")
 
 

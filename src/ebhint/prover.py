@@ -56,6 +56,7 @@ from .formula import (
     Add,
     Truth,
     Unevaluable,
+    balanced,
     conjunction,
     evaluate,
     free_identifiers,
@@ -70,8 +71,8 @@ from .model import (
     USE_HYPOTHESIS,
 )
 # case_sequents and tactic_select are the hint tactics, public here as well
-from .pog import apply_hint, case_sequents, describe_hint, obligation_hint, tactic_select  # noqa: F401
-from .printer import print_formula
+from .pog import apply_hint, case_sequents, obligation_hint, tactic_select  # noqa: F401
+from .printer import print_formula, print_hint
 
 PROVED = "proved"
 UNPROVED = "unproved"
@@ -83,7 +84,6 @@ class ProveOptions:
     lasso: bool = False
     all_hyps: bool = False
     timeout_ms: int = 2000
-    branch_cap: int = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def _membership(f: Membership, positive: bool):
         return ("true",) if positive else ("false",)
     if isinstance(f.container, SetLiteral):
         eqs = [_comparison(Comparison("=", f.element, e), True) for e in f.container.elements]
-        tree = _balanced("or", eqs) if eqs else ("false",)
+        tree = balanced(lambda a, b: ("or", a, b), eqs) if eqs else ("false",)
         if not positive:
             return _negate_tree(tree)
         return tree
@@ -252,14 +252,6 @@ def _membership(f: Membership, positive: bool):
         key = ("set", f.container.key, f.element)
         return ("lit", key, positive)
     raise _Unsupported(f"membership in {print_formula(f.container)}")
-
-
-def _balanced(op: str, trees: list):
-    """The trees joined by op, in order, as a tree of depth ceil(log2 n),
-    so that the recursive walkers stay shallow on long chains."""
-    while len(trees) > 1:
-        trees = [(op, *trees[i : i + 2]) if i + 1 < len(trees) else trees[i] for i in range(0, len(trees), 2)]
-    return trees[0]
 
 
 def _negate_tree(tree):
@@ -604,7 +596,7 @@ def decide(
         return Decision(UNSUPPORTED, u.reason)
     search = _Search(deadline, cap, memo)
     try:
-        found = _solve(_balanced("and", trees[::-1]), search)
+        found = _solve(balanced(lambda a, b: ("and", a, b), trees[::-1]), search)
     except _Budget as b:
         return Decision(UNPROVED, b.reason)
     if found is None:
@@ -759,7 +751,7 @@ def _close(sequent: Sequent, options: ProveOptions, deadline: float, trace: list
             trace.append(TraceStep("closeSyntactic", h.label))
             return Decision(PROVED, f"hypothesis {h.label}")
     selected = tuple(h.predicate for h in sequent.hypotheses if h.selected)
-    decision = decide(selected, sequent.goal, deadline, options.branch_cap, memo=memo)
+    decision = decide(selected, sequent.goal, deadline, memo=memo)
     trace.append(TraceStep("decide", decision.reason))
     return decision
 
@@ -774,15 +766,14 @@ def worst_status(statuses: Iterable[str]) -> str:
 def prove_obligation(
     po: ProofObligation,
     hints: tuple[Hint, ...] = (),
-    mode: str = "tactic",
     options: ProveOptions = ProveOptions(),
     memo: Memo | None = None,
 ) -> ProofResult:
     """Run the proof pipeline on one obligation.
 
-    In tactic mode the obligation's hint among ``hints`` (see
-    `obligation_hint`) is applied to every leaf by `apply_hint`; in pog
-    mode hints are assumed to be baked into the obligation already.
+    The obligation's hint among ``hints`` (see `obligation_hint`) is
+    applied to every leaf by `apply_hint`; pass no hints for an
+    obligation that `apply_hints_pog` already rewrote.
     ``memo`` is handed to every `decide` call (see `Memo`).
     """
     deadline = time.perf_counter() + options.timeout_ms / 1000.0
@@ -790,7 +781,7 @@ def prove_obligation(
     leaves = _expand(po.sequent, trace)
     hint_applied = po.hint_applied
 
-    hint = obligation_hint(po, hints) if mode == "tactic" else None
+    hint = obligation_hint(po, hints)
     if hint is not None:
         applied = [apply_hint(s, hint) for s in leaves]
         if any(a is None for a in applied):  # only a use hint can fail
@@ -802,7 +793,7 @@ def prove_obligation(
             else:
                 assert hint.predicate is not None
                 trace.append(TraceStep("tacticCase", f"{print_formula(hint.predicate)}, {len(leaves)} subgoals"))
-            hint_applied = describe_hint(hint)
+            hint_applied = print_hint(hint)
 
     if options.all_hyps:
         leaves = [s.select(set(s.labels())) for s in leaves]

@@ -43,10 +43,8 @@ from .model import (
     Event,
     INITIALISATION,
     MEMBER_OF,
-    Machine,
     Model,
     SPLIT_CASE,
-    SUCH_THAT,
     USE_HYPOTHESIS,
 )
 
@@ -229,6 +227,7 @@ def _check_event(
     event: Event,
     ctx_env: dict[str, str],
     fact_labels: set[str],
+    invariant_labels: set[str],
 ) -> None:
     m = model.machine
     own_vars = m.variables
@@ -300,7 +299,7 @@ def _check_event(
 
     _check_witnesses(checker, model, event, env, labels, fact_labels)
     _check_refines(checker, model, event)
-    _check_hints(checker, model, event, env)
+    _check_hints(checker, event, env, fact_labels, invariant_labels)
 
 
 def _check_witnesses(
@@ -394,10 +393,10 @@ def _check_refines(checker: _Checker, model: Model, event: Event) -> None:
                 )
 
 
-def _check_hints(checker: _Checker, model: Model, event: Event, env: dict[str, str]) -> None:
-    m = model.machine
-    invariant_labels = set(m.invariant_labels())
-    other_labels = {lp.label for lp in model.visible_facts()}
+def _check_hints(
+    checker: _Checker, event: Event, env: dict[str, str], fact_labels: set[str], invariant_labels: set[str]
+) -> None:
+    """``fact_labels`` are the labels of the visible facts (`Model.visible_facts`)."""
     targets: set[str] = set()
     for h in event.hints:
         if h.target in targets:
@@ -408,7 +407,7 @@ def _check_hints(checker: _Checker, model: Model, event: Event, env: dict[str, s
             )
         targets.add(h.target)
         if h.target not in invariant_labels:
-            if h.target in other_labels:
+            if h.target in fact_labels:
                 checker.report(
                     "hint-target",
                     f"hint target {h.target!r} must name an invariant of this machine, not a theorem or axiom",
@@ -418,7 +417,7 @@ def _check_hints(checker: _Checker, model: Model, event: Event, env: dict[str, s
                 checker.report("unresolved-hint-label", f"unresolved hint label {h.target!r}", h.loc)
         if h.kind == USE_HYPOTHESIS:
             assert h.label is not None
-            if h.label not in other_labels:
+            if h.label not in fact_labels:
                 checker.report("unresolved-hint-label", f"unresolved hint label {h.label!r}", h.loc)
         elif h.kind == SPLIT_CASE and h.predicate is not None:
             primed = sorted(k for k in free_identifiers(h.predicate) if k.endswith("'"))
@@ -461,6 +460,7 @@ def _check_machine(checker: _Checker, model: Model) -> None:
         own_labels.add(lp.label)
         checker.want(lp.predicate, BOOL, inv_env, _NO_PRIMES, "invariant")
     fact_labels |= own_labels
+    invariant_labels = {lp.label for lp in m.invariants}
 
     seen_events: set[str] = set()
     events = m.events + ((m.initialisation,) if m.initialisation else ())
@@ -468,7 +468,7 @@ def _check_machine(checker: _Checker, model: Model) -> None:
         if e.name in seen_events:
             checker.report("duplicate-event", f"duplicate event {e.name!r}", e.loc)
         seen_events.add(e.name)
-        _check_event(checker, model, e, ctx_env, fact_labels)
+        _check_event(checker, model, e, ctx_env, fact_labels, invariant_labels)
 
 
 def wellformed(model: Model) -> list[Diagnostic]:

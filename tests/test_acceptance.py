@@ -105,7 +105,7 @@ def _aggregated_verdicts(model: Model, mode: str) -> dict[str, str]:
     per_root: dict[str, list[str]] = {}
     for po in poset.obligations:
         hints = model.machine.event_hints(po.origin.event) if mode == "tactic" else ()
-        result = prove_obligation(po, hints, mode=mode)
+        result = prove_obligation(po, hints)
         root = po.name
         for suffix in ("/case1", "/case2"):
             if root.endswith(suffix):

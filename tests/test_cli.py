@@ -334,6 +334,23 @@ def test_deep_formula_is_a_syntax_diagnostic(tmp_path, kind, command):
         assert line.startswith(f"{path}:4:57:")  # the 51st parenthesis
 
 
+@pytest.mark.parametrize("command, code", [(["pos"], 0), (["prove"], 1), (["export-smt", "e/MRG"], 0)])
+def test_wide_merge_is_no_recursion_error(tmp_path, command, code):
+    # the merge goal joins 2 x 1,100 guards, each level of which a
+    # left-deep conjunction would make a level of recursion
+    def event(name):
+        guards = "\n".join(f"    g{k}: x /= {k}" for k in range(1_100))
+        return f"  event {name}\n  where\n{guards}\n  end\n"
+
+    (tmp_path / "wide_a.ebh").write_text(f"machine wide_a\nvariables x\nevents\n{event('e1')}{event('e2')}end\n")
+    path = tmp_path / "wide_c.ebh"
+    path.write_text("machine wide_c refines wide_a\nvariables x\nevents\n  event e refines e1, e2\n  end\nend\n")
+    result = run_cli(command[0], str(path), *command[1:])
+    assert result.exit_code == code, result.output[-500:]
+    assert result.exception is None or isinstance(result.exception, SystemExit)  # not a RecursionError
+    assert "Traceback" not in result.output
+
+
 # --- export-smt ------------------------------------------------------------------
 
 

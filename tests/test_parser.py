@@ -20,7 +20,7 @@ from ebhint.formula import (
     Quantifier,
 )
 from ebhint.model import Machine
-from ebhint.parser import MAX_DEPTH, ParseError, load_model, parse_predicate, parse_source
+from ebhint.parser import MAX_DEPTH, ParseError, lex, load_model, parse_predicate, parse_source
 from ebhint.printer import pretty_print, print_formula
 from strategies import predicates
 
@@ -54,6 +54,15 @@ def test_unicode_aliases_match_ascii():
     uni = parse_predicate("x ≤ 1 ∧ ¬ (y ∈ ℕ) ∨ z ≥ 0 ⇒ x ≠ y ∧ x ∈ ℤ")
     ascii_ = parse_predicate("x <= 1 & not (y in NAT) or z >= 0 => x /= y & x in INT")
     assert uni == ascii_
+
+
+def test_assignment_symbols_lex_as_one_token():
+    tokens = lex("x :| x' > x")
+    assert [(t.kind, t.text, t.loc.column) for t in tokens] == [
+        ("ident", "x", 1), (":|", ":|", 3), ("pident", "x", 6), (">", ">", 9), ("ident", "x", 11), ("eof", "", 12),
+    ]
+    # the unicode alias of '::' is two characters wide
+    assert [(t.kind, t.loc.column) for t in lex("x :∈ S")] == [("ident", 1), ("::", 3), ("ident", 6), ("eof", 7)]
 
 
 def test_quantifier_forms():

@@ -333,7 +333,6 @@ def test_apply_hints_pog_without_hints_is_identity():
     rewritten, diags = apply_hints_pog(poset, model)
     assert diags == []
     assert rewritten.obligations == poset.obligations
-    assert rewritten.mode == "pog"
 
 
 # --- hints on the initialisation ----------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_FILES, FIXTURES
 from ebhint import prover
-from ebhint.formula import Truth, evaluate
+from ebhint.formula import Truth, balanced, evaluate
 from ebhint.model import Hypothesis, Sequent
 from ebhint.parser import load_model, parse_predicate
 from ebhint.pog import apply_hints_pog, case_sequents, generate
@@ -282,7 +282,7 @@ def _leaves_and_depth(tree, depth=0):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 1_000])
 def test_balanced_chain_keeps_leaf_order_at_log_depth(n):
     leaves = [("lit", ("set", "S", k), True) for k in range(n)]
-    tree = prover._balanced("or", leaves)
+    tree = balanced(lambda a, b: ("or", a, b), leaves)
     assert _leaves_and_depth(tree) == (leaves, (n - 1).bit_length())
 
 
@@ -345,7 +345,7 @@ def memo_cases() -> tuple:
             for po in poset.obligations:
                 prove_obligation(po, model.machine.event_hints(po.origin.event))
             for po in apply_hints_pog(poset, model)[0].obligations:
-                prove_obligation(po, mode="pog")
+                prove_obligation(po)
     return tuple((case, recorded_decide(*case)) for case in calls)
 
 
