@@ -17,7 +17,7 @@ from .model import (
     ProofObligation,
     Sequent,
 )
-from .parser import ParseError, load_model, parse_expression, parse_predicate, parse_source
+from .parser import ParseError, load_model, parse_predicate, parse_source
 from .pog import (
     apply_hints_pog,
     before_after,
@@ -72,7 +72,6 @@ __all__ = [
     "load_model",
     "normalize_deterministic_ba",
     "one_point",
-    "parse_expression",
     "parse_predicate",
     "parse_source",
     "pretty_print",

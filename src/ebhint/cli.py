@@ -24,7 +24,7 @@ from .model import Model, PoSet
 from .parser import load_model
 from .pog import apply_hints_pog, check_new_events, generate
 from .printer import print_formula
-from .prover import PROVED, Memo, ProofResult, ProveOptions, prove_obligation
+from .prover import PROVED, UNPROVED, Memo, ProofResult, ProveOptions, prove_obligation
 from .smtlib import export_smt
 from .wellformed import wellformed
 
@@ -169,7 +169,7 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
 
     total = len(results)
     proved = sum(1 for r, _ in results if r.status == PROVED)
-    unproved = sum(1 for r, _ in results if r.status == "unproved")
+    unproved = sum(1 for r, _ in results if r.status == UNPROVED)
     unsupported = total - proved - unproved
     click.echo(
         f"summary: {total} obligations, {proved} proved, "

@@ -14,6 +14,7 @@ their *key*: the name with a trailing apostrophe when primed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -34,7 +35,6 @@ class Formula:
 
 # The distinction is enforced by type checking, not by the class tree.
 Predicate = Formula
-Expression = Formula
 
 
 # --- predicate nodes -------------------------------------------------------
@@ -77,10 +77,6 @@ class Implies(Formula):
 class Iff(Formula):
     left: Formula
     right: Formula
-
-
-#: Comparison operators, canonical ASCII spelling.
-COMPARISON_OPS = ("=", "/=", "<", "<=", ">", ">=")
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,13 +161,42 @@ class IntSet(Formula):
     """The integers (membership is trivially true)."""
 
 
-_BINARY = (And, Or, Implies, Iff, Add, Sub, Mul)
+class Operator(NamedTuple):
+    spelling: str  # canonical ASCII
+    level: int  # precedence: a larger level binds tighter
+    right: bool  # groups to the right
+
+
+#: The binary operators by node class, the table that the parser and
+#: the printer read.  Three levels are not binary operators: ``not``,
+#: the comparisons with ``in`` (non-associative), and unary minus.
+BINARY: dict[type, Operator] = {
+    Iff: Operator("<=>", 1, True),
+    Implies: Operator("=>", 2, True),
+    Or: Operator("or", 3, False),
+    And: Operator("&", 4, False),
+    Add: Operator("+", 7, False),
+    Sub: Operator("-", 7, False),
+    Mul: Operator("*", 8, False),
+}
+NOT_LEVEL, COMPARISON_LEVEL, MINUS_LEVEL = 5, 6, 9
+
+#: The comparison operators by canonical ASCII spelling.
+COMPARISONS: dict[str, Callable[[int, int], bool]] = {
+    "=": operator.eq,
+    "/=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
 _UNARY = (Not, Minus)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
     """Immediate subformulas, binders excluded."""
-    if isinstance(f, _BINARY):
+    if type(f) in BINARY:
         return (f.left, f.right)
     if isinstance(f, _UNARY):
         return (f.operand,)
@@ -211,7 +236,7 @@ def _rebuild(f: Formula, new: tuple[Formula, ...]) -> Formula:
         return Comparison(f.op, new[0], new[1], loc=f.loc)
     if isinstance(f, Membership):
         return Membership(new[0], new[1], loc=f.loc)
-    if isinstance(f, _BINARY):
+    if type(f) in BINARY:
         return type(f)(new[0], new[1], loc=f.loc)
     if isinstance(f, _UNARY):
         return type(f)(new[0], loc=f.loc)
@@ -326,16 +351,7 @@ def evaluate(f: Formula, valuation: Mapping[str, int]):
     if isinstance(f, Iff):
         return evaluate(f.left, valuation) == evaluate(f.right, valuation)
     if isinstance(f, Comparison):
-        l = evaluate(f.left, valuation)
-        r = evaluate(f.right, valuation)
-        return {
-            "=": l == r,
-            "/=": l != r,
-            "<": l < r,
-            "<=": l <= r,
-            ">": l > r,
-            ">=": l >= r,
-        }[f.op]
+        return COMPARISONS[f.op](evaluate(f.left, valuation), evaluate(f.right, valuation))
     if isinstance(f, Membership):
         e = evaluate(f.element, valuation)
         c = f.container

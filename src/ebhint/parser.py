@@ -6,7 +6,8 @@ as aliases.  ``//`` starts a line comment.  One context or machine per
 file; ``sees``, ``refines``, and ``extends`` references are resolved by
 file name in the directory of the referring file.
 
-Operator precedence, loosest first:
+Operator precedence, loosest first (the code reads the binary levels
+from the table `formula.BINARY`):
 
     <=>   (right associative)
     =>    (right associative)
@@ -30,7 +31,10 @@ from typing import NamedTuple
 
 from .diagnostics import Diagnostic
 from .formula import (
-    Add,
+    BINARY,
+    COMPARISON_LEVEL,
+    COMPARISONS,
+    NOT_LEVEL,
     Comparison,
     Falsity,
     Formula,
@@ -40,18 +44,12 @@ from .formula import (
     Loc,
     Membership,
     Minus,
-    Mul,
     NatSet,
     Not,
-    Or,
     Predicate,
     Quantifier,
     SetLiteral,
-    Sub,
     Truth,
-    And,
-    Iff,
-    Implies,
     children,
 )
 from .model import (
@@ -195,7 +193,13 @@ def lex(text: str, path: str = "<string>") -> list[Token]:
     return tokens
 
 
-_CMP_TOKENS = ("=", "/=", "<", "<=", ">", ">=")
+# Each binary precedence level's operators by token text, as (node
+# class, groups to the right); ``or`` is a keyword, the rest symbols.
+_LEVELS: dict[int, dict[str, tuple[type, bool]]] = {
+    level: {op.spelling: (cls, op.right) for cls, op in BINARY.items() if op.level == level}
+    for level in {op.level for op in BINARY.values()}
+}
+_LOOSEST = min(_LEVELS)
 
 
 class Parser:
@@ -275,7 +279,7 @@ class Parser:
 
     def formula(self) -> Formula:
         start = self.pos
-        f = self._iff()
+        f = self._binary(_LOOSEST)
         # a tree has no more nodes than tokens, so only a long formula
         # can be too deep
         if self.depth == 0 and self.pos - start > MAX_DEPTH:
@@ -286,42 +290,33 @@ class Parser:
                 raise _err(f"formula nested deeper than {MAX_DEPTH} levels", level[0].loc, self.path)
         return f
 
-    def _nested(self, parse) -> Formula:
+    def _nested(self, parse, *args) -> Formula:
         """Parse one level deeper, opened by the token just taken."""
         if self.depth == MAX_DEPTH:
             opener = self.tokens[self.pos - 1]
             raise _err(f"formula nested deeper than {MAX_DEPTH} levels", opener.loc, self.path)
         self.depth += 1
-        f = parse()
+        f = parse(*args)
         self.depth -= 1
         return f
 
-    def _iff(self) -> Formula:
-        left = self._implies()
-        if self.at("<=>"):
-            loc = self.advance().loc
-            return Iff(left, self._nested(self._iff), loc=loc)
-        return left
-
-    def _implies(self) -> Formula:
-        left = self._or()
-        if self.at("=>"):
-            loc = self.advance().loc
-            return Implies(left, self._nested(self._implies), loc=loc)
-        return left
-
-    def _or(self) -> Formula:
-        left = self._and()
-        while self.at_kw("or"):
-            loc = self.advance().loc
-            left = Or(left, self._and(), loc=loc)
-        return left
-
-    def _and(self) -> Formula:
-        left = self._not()
-        while self.at("&"):
-            loc = self.advance().loc
-            left = And(left, self._not(), loc=loc)
+    def _binary(self, level: int) -> Formula:
+        """The operators of ``level`` in `formula.BINARY` and every
+        tighter level."""
+        ops = _LEVELS.get(level)
+        if ops is None:
+            return self._not() if level == NOT_LEVEL else self._unary()
+        left = self._binary(level + 1)
+        tok = self.peek()
+        op = ops.get(tok.text)
+        while op is not None:
+            cls, right = op
+            self.advance()
+            if right:
+                return cls(left, self._nested(self._binary, level), loc=tok.loc)
+            left = cls(left, self._binary(level + 1), loc=tok.loc)
+            tok = self.peek()
+            op = ops.get(tok.text)
         return left
 
     def _not(self) -> Formula:
@@ -331,39 +326,17 @@ class Parser:
         return self._comparison()
 
     def _comparison(self) -> Formula:
-        left = self._additive()
+        left = self._binary(COMPARISON_LEVEL + 1)
         tok = self.peek()
-        if tok.kind in _CMP_TOKENS:
-            self.advance()
-            right = self._additive()
-            self._reject_chain()
-            return Comparison(tok.kind, left, right, loc=tok.loc)
-        if self.at_kw("in"):
-            self.advance()
-            right = self._additive()
-            self._reject_chain()
-            return Membership(left, right, loc=tok.loc)
-        return left
-
-    def _reject_chain(self) -> None:
-        if self.peek().kind in _CMP_TOKENS or self.at_kw("in"):
+        if tok.kind not in COMPARISONS and not self.at_kw("in"):
+            return left
+        self.advance()
+        right = self._binary(COMPARISON_LEVEL + 1)
+        if self.peek().kind in COMPARISONS or self.at_kw("in"):
             raise self.fail("comparisons are non-associative; add parentheses")
-
-    def _additive(self) -> Formula:
-        left = self._multiplicative()
-        while self.at("+") or self.at("-"):
-            tok = self.advance()
-            right = self._multiplicative()
-            cls = Add if tok.kind == "+" else Sub
-            left = cls(left, right, loc=tok.loc)
-        return left
-
-    def _multiplicative(self) -> Formula:
-        left = self._unary()
-        while self.at("*"):
-            loc = self.advance().loc
-            left = Mul(left, self._unary(), loc=loc)
-        return left
+        if tok.kind == "kw":
+            return Membership(left, right, loc=tok.loc)
+        return Comparison(tok.kind, left, right, loc=tok.loc)
 
     def _unary(self) -> Formula:
         if self.at("-"):
@@ -616,9 +589,6 @@ def parse_predicate(text: str) -> Predicate:
     f = parser.formula()
     parser.expect("eof", "end of input")
     return f
-
-
-parse_expression = parse_predicate
 
 
 # --- file loading -----------------------------------------------------------

@@ -8,25 +8,22 @@ table.
 from __future__ import annotations
 
 from .formula import (
-    Add,
-    And,
+    BINARY,
+    COMPARISON_LEVEL,
+    MINUS_LEVEL,
+    NOT_LEVEL,
     Comparison,
     Falsity,
     Formula,
     Ident,
-    Iff,
-    Implies,
     IntLiteral,
     IntSet,
     Membership,
     Minus,
-    Mul,
     NatSet,
     Not,
-    Or,
     Quantifier,
     SetLiteral,
-    Sub,
     Truth,
 )
 from .model import (
@@ -43,35 +40,25 @@ from .model import (
     Witness,
 )
 
-_QUANT, _IFF, _IMPLIES, _OR, _AND, _NOT, _CMP, _ADD, _MUL, _NEG, _ATOM = range(11)
-
 _ASSIGN_OP = {DETERMINISTIC: ":=", MEMBER_OF: "::", SUCH_THAT: ":|"}
 
 
 def _level(f: Formula) -> int:
+    """The precedence of ``f``'s outermost operator: a quantifier is
+    looser than every operator, so it is bracketed as an operand, and
+    an atom is tighter."""
+    op = BINARY.get(type(f))
+    if op is not None:
+        return op.level
     if isinstance(f, Quantifier):
-        return _QUANT
-    if isinstance(f, Iff):
-        return _IFF
-    if isinstance(f, Implies):
-        return _IMPLIES
-    if isinstance(f, Or):
-        return _OR
-    if isinstance(f, And):
-        return _AND
+        return 0
     if isinstance(f, Not):
-        return _NOT
+        return NOT_LEVEL
     if isinstance(f, (Comparison, Membership)):
-        return _CMP
-    if isinstance(f, (Add, Sub)):
-        return _ADD
-    if isinstance(f, Mul):
-        return _MUL
-    if isinstance(f, Minus):
-        return _NEG
-    if isinstance(f, IntLiteral) and f.value < 0:
-        return _NEG
-    return _ATOM
+        return COMPARISON_LEVEL
+    if isinstance(f, Minus) or isinstance(f, IntLiteral) and f.value < 0:
+        return MINUS_LEVEL
+    return MINUS_LEVEL + 1
 
 
 def _at(f: Formula, minimum: int) -> str:
@@ -80,6 +67,9 @@ def _at(f: Formula, minimum: int) -> str:
 
 
 def print_formula(f: Formula) -> str:
+    op = BINARY.get(type(f))
+    if op is not None:
+        return f"{_at(f.left, op.level + op.right)} {op.spelling} {_at(f.right, op.level + (not op.right))}"
     if isinstance(f, Truth):
         return "true"
     if isinstance(f, Falsity):
@@ -95,26 +85,13 @@ def print_formula(f: Formula) -> str:
     if isinstance(f, SetLiteral):
         return "{" + ", ".join(print_formula(e) for e in f.elements) + "}"
     if isinstance(f, Minus):
-        return "-" + _at(f.operand, _NEG)
-    if isinstance(f, Mul):
-        return f"{_at(f.left, _MUL)} * {_at(f.right, _MUL + 1)}"
-    if isinstance(f, (Add, Sub)):
-        op = "+" if isinstance(f, Add) else "-"
-        return f"{_at(f.left, _ADD)} {op} {_at(f.right, _ADD + 1)}"
+        return "-" + _at(f.operand, MINUS_LEVEL)
     if isinstance(f, Comparison):
-        return f"{_at(f.left, _ADD)} {f.op} {_at(f.right, _ADD)}"
+        return f"{_at(f.left, COMPARISON_LEVEL + 1)} {f.op} {_at(f.right, COMPARISON_LEVEL + 1)}"
     if isinstance(f, Membership):
-        return f"{_at(f.element, _ADD)} in {_at(f.container, _ADD)}"
+        return f"{_at(f.element, COMPARISON_LEVEL + 1)} in {_at(f.container, COMPARISON_LEVEL + 1)}"
     if isinstance(f, Not):
-        return "not " + _at(f.operand, _NOT)
-    if isinstance(f, And):
-        return f"{_at(f.left, _AND)} & {_at(f.right, _AND + 1)}"
-    if isinstance(f, Or):
-        return f"{_at(f.left, _OR)} or {_at(f.right, _OR + 1)}"
-    if isinstance(f, Implies):
-        return f"{_at(f.left, _IMPLIES + 1)} => {_at(f.right, _IMPLIES)}"
-    if isinstance(f, Iff):
-        return f"{_at(f.left, _IFF + 1)} <=> {_at(f.right, _IFF)}"
+        return "not " + _at(f.operand, NOT_LEVEL)
     if isinstance(f, Quantifier):
         binders = ", ".join(b.key for b in f.binders)
         return f"{f.kind} {binders} . {print_formula(f.body)}"

@@ -243,31 +243,16 @@ def _membership(f: Membership, positive: bool):
     if isinstance(f.container, IntSet):
         return ("true",) if positive else ("false",)
     if isinstance(f.container, SetLiteral):
-        eqs = [_comparison(Comparison("=", f.element, e), True) for e in f.container.elements]
-        tree = balanced(lambda a, b: ("or", a, b), eqs) if eqs else ("false",)
-        if not positive:
-            return _negate_tree(tree)
-        return tree
+        if positive:
+            eqs = [_comparison(Comparison("=", f.element, e), True) for e in f.container.elements]
+            return balanced(lambda a, b: ("or", a, b), eqs) if eqs else ("false",)
+        # e /= x rather than x /= e: the order of its two literals steers the search
+        nes = [_comparison(Comparison("=", e, f.element), False) for e in f.container.elements]
+        return balanced(lambda a, b: ("and", a, b), nes) if nes else ("true",)
     if isinstance(f.container, Ident):
         key = ("set", f.container.key, f.element)
         return ("lit", key, positive)
     raise _Unsupported(f"membership in {print_formula(f.container)}")
-
-
-def _negate_tree(tree):
-    head = tree[0]
-    if head == "true":
-        return ("false",)
-    if head == "false":
-        return ("true",)
-    if head == "lit":
-        _, key, polarity = tree
-        if key[0] == "set":
-            return ("lit", key, not polarity)
-        (_, coeffs, bound) = key
-        return _atom({k: -v for k, v in coeffs}, -bound - 1)
-    op = "or" if head == "and" else "and"
-    return (op, _negate_tree(tree[1]), _negate_tree(tree[2]))
 
 
 # --- lazy DPLL(T) search ------------------------------------------------------
@@ -742,7 +727,7 @@ def _expand(sequent: Sequent, trace: list[TraceStep]) -> list[Sequent]:
     return leaves
 
 
-def _close(sequent: Sequent, options: ProveOptions, deadline: float, trace: list[TraceStep], memo: Memo | None) -> Decision:
+def _close(sequent: Sequent, deadline: float, trace: list[TraceStep], memo: Memo | None) -> Decision:
     if isinstance(sequent.goal, Truth):
         trace.append(TraceStep("closeSyntactic", "goal is true"))
         return Decision(PROVED, "goal is true")
@@ -812,7 +797,7 @@ def prove_obligation(
     counterexample = None
     reasons: list[str] = []
     for s in leaves:
-        decision = _close(s, options, deadline, trace, memo)
+        decision = _close(s, deadline, trace, memo)
         statuses.append(decision.status)
         reasons.append(decision.reason)
         if counterexample is None and decision.counterexample is not None:

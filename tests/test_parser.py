@@ -7,17 +7,22 @@ from hypothesis import given
 
 from conftest import FIXTURE_FILES, FIXTURES
 from ebhint.formula import (
+    Add,
     And,
     Comparison,
+    Ident,
     Iff,
     Implies,
     IntLiteral,
     Loc,
     Membership,
+    Minus,
+    Mul,
     NatSet,
     Not,
     Or,
     Quantifier,
+    Sub,
 )
 from ebhint.model import Machine
 from ebhint.parser import MAX_DEPTH, ParseError, lex, load_model, parse_predicate, parse_source
@@ -43,6 +48,13 @@ def test_implication_right_associative():
     assert isinstance(f, Implies) and isinstance(f.right, Implies)
     g = parse_predicate("a = 1 <=> b = 2 <=> c = 3")
     assert isinstance(g, Iff) and isinstance(g.right, Iff)
+
+
+def test_arithmetic_precedence_and_grouping():
+    a, c, d, f = (Ident(n) for n in "acdf")
+    two, three = IntLiteral(2), IntLiteral(3)
+    assert parse_predicate("-a * 2 + c - d * 3 - f") == Sub(Sub(Add(Mul(Minus(a), two), c), Mul(d, three)), f)
+    assert parse_predicate("a - (b - c)") == Sub(a, Sub(Ident("b"), c))
 
 
 def test_comparisons_non_associative():
@@ -140,6 +152,59 @@ def test_parenthesis_limit_points_at_the_opening_parenthesis():
 @given(predicates)
 def test_print_parse_round_trip(f):
     assert parse_predicate(print_formula(f)) == f
+
+
+# Every operator kind, as (arity, constructor).
+_OPERATORS = [(2, cls) for cls in (Iff, Implies, Or, And, Add, Sub, Mul)] + [
+    (2, lambda left, right: Comparison("<", left, right)),
+    (2, Membership),
+    (1, Not),
+    (1, Minus),
+    (1, lambda body: Quantifier("exists", (Ident("q"),), body)),
+]
+
+
+def _operator_pairs():
+    """Each operator kind nested in each operand of each other kind."""
+    for outer_arity, outer in _OPERATORS:
+        for inner_arity, inner in _OPERATORS:
+            nested = inner(*(Ident(n) for n in "bc"[:inner_arity]))
+            for side in range(outer_arity):
+                operands = [Ident(n) for n in "ad"[:outer_arity]]
+                operands[side] = nested
+                yield outer(*operands)
+
+
+def _bracket_pairs(text: str):
+    open_at: list[int] = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            open_at.append(i)
+        elif ch == ")":
+            yield open_at.pop(), i
+
+
+def _parses_to(text: str, f) -> bool:
+    try:
+        return parse_predicate(text) == f
+    except ParseError:
+        return False
+
+
+def test_operator_pairs_round_trip_with_minimal_brackets():
+    # a bracketed quantifier operand may be the last one, where its
+    # brackets could go; the printer keeps them all the same
+    lost, needless = [], []
+    for f in _operator_pairs():
+        text = print_formula(f)
+        if not _parses_to(text, f):
+            lost.append(text)
+        for i, j in _bracket_pairs(text):
+            if not text.startswith(("exists", "forall"), i + 1):
+                unbracketed = text[:i] + text[i + 1 : j] + text[j + 1 :]
+                if _parses_to(unbracketed, f):
+                    needless.append(text)
+    assert lost == [] and needless == []
 
 
 # --- components and files ----------------------------------------------------

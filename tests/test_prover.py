@@ -299,6 +299,11 @@ def test_decide_on_long_set_literal():
     assert decide((p("1 = 2"),), p(f"x in {members}")).status == PROVED
 
 
+def test_negated_set_membership_keeps_its_literal_order():
+    # the order of the literals steers the search, and so `visited`
+    assert prover._nnf(p("not (x in {1, 2, 3})"), True) == prover._nnf(p("1 /= x & 2 /= x & 3 /= x"), True)
+
+
 def test_decide_search_deeper_than_the_recursion_limit():
     # the only model, x = 300, lies 300 branches deep
     members = "{" + ", ".join(str(k) for k in range(300)) + "}"
