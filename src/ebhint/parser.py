@@ -6,6 +6,10 @@ as aliases.  ``//`` starts a line comment.  One context or machine per
 file; ``sees``, ``refines``, and ``extends`` references are resolved by
 file name in the directory of the referring file.
 
+A token's kind is ``ident``, ``pident`` (primed; the text drops the
+prime), ``int`` (decimal digits), ``eof``, or, for a keyword or symbol,
+its ASCII spelling, so the parser tests every token by kind alone.
+
 Operator precedence, loosest first (the code reads the binary levels
 from the table `formula.BINARY`):
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from .diagnostics import Diagnostic
 from .formula import (
@@ -90,9 +94,11 @@ _UNI_KEYWORD = {"∨": "or", "¬": "not", "∈": "in", "ℕ": "NAT", "ℤ": "INT
 # the parser and every formula walker recurse.
 MAX_DEPTH = 50
 
+T = TypeVar("T")
+
 
 class Token(NamedTuple):
-    kind: str  # "ident", "pident", "int", "kw", "eof", or a symbol
+    kind: str  # "ident", "pident", "int", "eof", a keyword, or a symbol
     text: str
     loc: Loc
 
@@ -136,10 +142,10 @@ def lex(text: str, path: str = "<string>") -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
             here = loc()
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(Token("int", text[start:i], here))
             col += i - start
@@ -155,7 +161,7 @@ def lex(text: str, path: str = "<string>") -> list[Token]:
             # in the single-character branches below.
             word = _UNI_KEYWORD.get(word, word)
             if word in KEYWORDS:
-                tokens.append(Token("kw", word, here))
+                tokens.append(Token(word, word, here))
             elif i < n and text[i] == "'":
                 i += 1
                 col += 1
@@ -166,7 +172,8 @@ def lex(text: str, path: str = "<string>") -> list[Token]:
                 tokens.append(Token("ident", word, here))
             continue
         if ch in _UNI_KEYWORD:
-            tokens.append(Token("kw", _UNI_KEYWORD[ch], loc()))
+            word = _UNI_KEYWORD[ch]
+            tokens.append(Token(word, word, loc()))
             i += 1
             col += 1
             continue
@@ -200,6 +207,9 @@ _LEVELS: dict[int, dict[str, tuple[type, bool]]] = {
     for level in {op.level for op in BINARY.values()}
 }
 _LOOSEST = min(_LEVELS)
+_RELATIONS = frozenset({*COMPARISONS, "in"})  # the kinds `_comparison` reads
+# the keywords that are a formula on their own
+_CONSTANTS = {"true": Truth, "false": Falsity, "NAT": NatSet, "INT": IntSet}
 
 
 class Parser:
@@ -219,16 +229,12 @@ class Parser:
         self.pos += 1
         return tok
 
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+    def at(self, *kinds: str) -> bool:
+        return self.tokens[self.pos].kind in kinds
 
-    def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.text in words
-
-    def take_kw(self, word: str) -> bool:
-        if self.at_kw(word):
-            self.advance()
+    def take(self, kind: str) -> bool:
+        if self.at(kind):
+            self.pos += 1
             return True
         return False
 
@@ -236,44 +242,39 @@ class Parser:
         return _err(message, self.peek().loc, self.path)
 
     def expect(self, kind: str, what: str | None = None) -> Token:
+        """The next token, which must be of ``kind``; the error message
+        names it as ``what``, or else quotes the kind."""
         if not self.at(kind):
-            tok = self.peek()
-            found = tok.text or "end of file"
-            raise self.fail(f"expected {what or kind!r}, found {found!r}")
+            found = self.peek().text or "end of file"
+            raise self.fail(f"expected {what or repr(kind)}, found {found!r}")
         return self.advance()
 
-    def expect_kw(self, word: str) -> Token:
-        if not self.at_kw(word):
-            tok = self.peek()
-            found = tok.text or "end of file"
-            raise self.fail(f"expected '{word}', found {found!r}")
-        return self.advance()
-
-    def ident(self, what: str = "identifier") -> Token:
-        if not self.at("ident"):
-            tok = self.peek()
-            found = tok.text or "end of file"
-            raise self.fail(f"expected {what}, found {found!r}")
-        return self.advance()
-
-    # -- identifier lists ------------------------------------------------
+    # -- sections -----------------------------------------------------------
 
     def ident_list(self, what: str, allow_primed: bool = False) -> list[Token]:
         """One or more identifiers; commas between them are optional."""
         kinds = ("ident", "pident") if allow_primed else ("ident",)
-        if self.peek().kind not in kinds:
+        if not self.at(*kinds):
             raise self.fail(f"expected {what}")
         out = [self.advance()]
-        while True:
-            if self.at(","):
-                self.advance()
-                if self.peek().kind not in kinds:
-                    raise self.fail(f"expected {what} after ','")
-                out.append(self.advance())
-            elif self.peek().kind in kinds:
-                out.append(self.advance())
-            else:
-                return out
+        while self.at(",", *kinds):
+            if self.take(",") and not self.at(*kinds):
+                raise self.fail(f"expected {what} after ','")
+            out.append(self.advance())
+        return out
+
+    def names(self, keyword: str, what: str) -> tuple[str, ...]:
+        """The identifier list after an optional section ``keyword``."""
+        return tuple(t.text for t in self.ident_list(what)) if self.take(keyword) else ()
+
+    def items(self, keyword: str, item: Callable[[], T], *starts: str) -> tuple[T, ...]:
+        """After an optional section ``keyword``, every ``item`` that
+        starts with a token of one of the kinds ``starts``."""
+        out = []
+        if self.take(keyword):
+            while self.at(*starts):
+                out.append(item())
+        return tuple(out)
 
     # -- formulas ---------------------------------------------------------
 
@@ -320,7 +321,7 @@ class Parser:
         return left
 
     def _not(self) -> Formula:
-        if self.at_kw("not"):
+        if self.at("not"):
             loc = self.advance().loc
             return Not(self._nested(self._not), loc=loc)
         return self._comparison()
@@ -328,13 +329,13 @@ class Parser:
     def _comparison(self) -> Formula:
         left = self._binary(COMPARISON_LEVEL + 1)
         tok = self.peek()
-        if tok.kind not in COMPARISONS and not self.at_kw("in"):
+        if tok.kind not in _RELATIONS:
             return left
         self.advance()
         right = self._binary(COMPARISON_LEVEL + 1)
-        if self.peek().kind in COMPARISONS or self.at_kw("in"):
+        if self.peek().kind in _RELATIONS:
             raise self.fail("comparisons are non-associative; add parentheses")
-        if tok.kind == "kw":
+        if tok.kind == "in":
             return Membership(left, right, loc=tok.loc)
         return Comparison(tok.kind, left, right, loc=tok.loc)
 
@@ -352,34 +353,27 @@ class Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return IntLiteral(int(tok.text), loc=tok.loc)
+            try:
+                return IntLiteral(int(tok.text), loc=tok.loc)
+            except ValueError:  # longer than Python converts
+                raise _err(f"integer literal of {len(tok.text)} digits is too long", tok.loc, self.path) from None
         if tok.kind == "ident":
             self.advance()
             return Ident(tok.text, loc=tok.loc)
         if tok.kind == "pident":
             self.advance()
             return Ident(tok.text, primed=True, loc=tok.loc)
-        if tok.kind == "kw":
-            if tok.text == "true":
-                self.advance()
-                return Truth(loc=tok.loc)
-            if tok.text == "false":
-                self.advance()
-                return Falsity(loc=tok.loc)
-            if tok.text == "NAT":
-                self.advance()
-                return NatSet(loc=tok.loc)
-            if tok.text == "INT":
-                self.advance()
-                return IntSet(loc=tok.loc)
-            if tok.text in ("exists", "forall"):
-                self.advance()
-                binders = tuple(
-                    Ident(t.text, primed=(t.kind == "pident"), loc=t.loc)
-                    for t in self.ident_list("bound identifier", allow_primed=True)
-                )
-                self.expect(".", "'.' after quantifier binders")
-                return Quantifier(tok.text, binders, self._nested(self.formula), loc=tok.loc)
+        if tok.kind in _CONSTANTS:
+            self.advance()
+            return _CONSTANTS[tok.kind](loc=tok.loc)
+        if tok.kind in ("exists", "forall"):
+            self.advance()
+            binders = tuple(
+                Ident(t.text, primed=(t.kind == "pident"), loc=t.loc)
+                for t in self.ident_list("bound identifier", allow_primed=True)
+            )
+            self.expect(".", "'.' after quantifier binders")
+            return Quantifier(tok.text, binders, self._nested(self.formula), loc=tok.loc)
         if tok.kind == "(":
             self.advance()
             inner = self._nested(self.formula)
@@ -396,67 +390,54 @@ class Parser:
         found = tok.text or "end of file"
         raise self.fail(f"expected an expression or predicate, found {found!r}")
 
-    # -- labeled predicates ------------------------------------------------
+    # -- section items ----------------------------------------------------------
 
-    def labeled_predicates(self) -> list[LabeledPredicate]:
-        out = []
-        while self.at("ident"):
-            label = self.advance()
-            self.expect(":", "':' after label")
-            out.append(LabeledPredicate(label.text, self.formula(), loc=label.loc))
-        return out
+    def labeled(self) -> LabeledPredicate:
+        label = self.advance()
+        self.expect(":", "':' after label")
+        return LabeledPredicate(label.text, self.formula(), loc=label.loc)
+
+    def witness(self) -> Witness:
+        sub = self.advance()
+        self.expect(":", "':' after witness subject")
+        subject = Ident(sub.text, primed=(sub.kind == "pident"), loc=sub.loc)
+        return Witness(subject, self.formula(), loc=sub.loc)
 
     # -- events -------------------------------------------------------------
 
     def event(self) -> Event:
         tok = self.peek()
-        if self.take_kw("initialisation"):
+        if self.take("initialisation"):
             name = INITIALISATION
         else:
-            self.expect_kw("event")
-            name = self.ident("event name").text
-        refines: tuple[str, ...] = ()
-        if self.take_kw("refines"):
-            refines = tuple(t.text for t in self.ident_list("abstract event name"))
-        parameters: tuple[str, ...] = ()
-        if self.take_kw("any"):
-            parameters = tuple(t.text for t in self.ident_list("parameter"))
-        guards: list[LabeledPredicate] = []
-        if self.take_kw("where"):
-            guards = self.labeled_predicates()
-        guard_theorems: list[LabeledPredicate] = []
-        if self.take_kw("thm"):
-            guard_theorems = self.labeled_predicates()
-        witnesses: list[Witness] = []
-        if self.take_kw("with"):
-            while self.peek().kind in ("ident", "pident"):
-                sub = self.advance()
-                self.expect(":", "':' after witness subject")
-                subject = Ident(sub.text, primed=(sub.kind == "pident"), loc=sub.loc)
-                witnesses.append(Witness(subject, self.formula(), loc=sub.loc))
-        actions: list[Assignment] = []
-        if self.take_kw("then"):
-            while self.at("ident"):
-                actions.append(self.action())
-        hints: list[Hint] = []
-        if self.take_kw("hints"):
-            while self.at_kw("use", "split"):
-                hints.append(self.hint())
-        self.expect_kw("end")
+            self.expect("event")
+            name_tok = self.expect("ident", "event name")
+            name = name_tok.text
+            if name == INITIALISATION:
+                message = f"{INITIALISATION!r} is reserved for the initialisation event"
+                raise _err(message, name_tok.loc, self.path, "reserved-name")
+        refines = self.names("refines", "abstract event name")
+        parameters = self.names("any", "parameter")
+        guards = self.items("where", self.labeled, "ident")
+        guard_theorems = self.items("thm", self.labeled, "ident")
+        witnesses = self.items("with", self.witness, "ident", "pident")
+        actions = self.items("then", self.action, "ident")
+        hints = self.items("hints", self.hint, "use", "split")
+        self.expect("end")
         return Event(
             name,
             refines=refines,
             parameters=parameters,
-            guards=tuple(guards),
-            guard_theorems=tuple(guard_theorems),
-            witnesses=tuple(witnesses),
-            actions=tuple(actions),
-            hints=tuple(hints),
+            guards=guards,
+            guard_theorems=guard_theorems,
+            witnesses=witnesses,
+            actions=actions,
+            hints=hints,
             loc=tok.loc,
         )
 
     def action(self) -> Assignment:
-        label = self.ident("action label")
+        label = self.expect("ident", "action label")
         self.expect(":", "':' after action label")
         targets = [t.text for t in self.ident_list("assignment target")]
         tok = self.peek()
@@ -475,91 +456,76 @@ class Parser:
 
     def hint(self) -> Hint:
         tok = self.peek()
-        if self.take_kw("use"):
-            label = self.ident("hypothesis label").text
-            self.expect_kw("for")
-            target = self.ident("invariant label").text
+        if self.take("use"):
+            label = self.expect("ident", "hypothesis label").text
+            self.expect("for")
+            target = self.expect("ident", "invariant label").text
             return Hint(USE_HYPOTHESIS, target, label=label, loc=tok.loc)
-        self.expect_kw("split")
-        self.expect_kw("case")
-        self.expect_kw("using")
+        self.expect("split")
+        self.expect("case")
+        self.expect("using")
         predicate = self.formula()
-        self.expect_kw("for")
-        target = self.ident("invariant label").text
+        self.expect("for")
+        target = self.expect("ident", "invariant label").text
         return Hint(SPLIT_CASE, target, predicate=predicate, loc=tok.loc)
 
     # -- machine and context --------------------------------------------------
 
     def machine(self) -> Machine:
-        loc = self.expect_kw("machine").loc
-        name = self.ident("machine name").text
-        refines = self.ident("machine name").text if self.take_kw("refines") else None
-        sees = self.ident("context name").text if self.take_kw("sees") else None
-        variables: tuple[str, ...] = ()
-        if self.take_kw("variables"):
-            variables = tuple(t.text for t in self.ident_list("variable"))
-        invariants: list[LabeledPredicate] = []
-        if self.take_kw("invariants"):
-            invariants = self.labeled_predicates()
-        theorems: list[LabeledPredicate] = []
-        if self.take_kw("theorems"):
-            theorems = self.labeled_predicates()
+        loc = self.expect("machine").loc
+        name = self.expect("ident", "machine name").text
+        refines = self.expect("ident", "machine name").text if self.take("refines") else None
+        sees = self.expect("ident", "context name").text if self.take("sees") else None
+        variables = self.names("variables", "variable")
+        invariants = self.items("invariants", self.labeled, "ident")
+        theorems = self.items("theorems", self.labeled, "ident")
         events: list[Event] = []
         initialisation: Event | None = None
-        if self.take_kw("events"):
-            while self.at_kw("event", "initialisation"):
-                here = self.peek().loc
+        if self.take("events"):
+            while self.at("event", "initialisation"):
                 e = self.event()
-                if e.is_initialisation:
-                    if initialisation is not None:
-                        raise _err("duplicate initialisation event", here, self.path)
+                if not e.is_initialisation:
+                    events.append(e)
+                elif initialisation is None:
                     initialisation = e
                 else:
-                    events.append(e)
-        self.expect_kw("end")
+                    raise _err("duplicate initialisation event", e.loc, self.path)
+        self.expect("end")
         return Machine(
             name,
             refines=refines,
             sees=sees,
             variables=variables,
-            invariants=tuple(invariants),
-            theorems=tuple(theorems),
+            invariants=invariants,
+            theorems=theorems,
             events=tuple(events),
             initialisation=initialisation,
             loc=loc,
         )
 
     def context(self) -> Context:
-        loc = self.expect_kw("context").loc
-        name = self.ident("context name").text
-        extends = self.ident("context name").text if self.take_kw("extends") else None
-        sets: tuple[str, ...] = ()
-        if self.take_kw("sets"):
-            sets = tuple(t.text for t in self.ident_list("carrier set name"))
-        constants: tuple[str, ...] = ()
-        if self.take_kw("constants"):
-            constants = tuple(t.text for t in self.ident_list("constant name"))
-        axioms: list[LabeledPredicate] = []
-        if self.take_kw("axioms"):
-            axioms = self.labeled_predicates()
-        theorems: list[LabeledPredicate] = []
-        if self.take_kw("theorems"):
-            theorems = self.labeled_predicates()
-        self.expect_kw("end")
+        loc = self.expect("context").loc
+        name = self.expect("ident", "context name").text
+        extends = self.expect("ident", "context name").text if self.take("extends") else None
+        sets = self.names("sets", "carrier set name")
+        constants = self.names("constants", "constant name")
+        axioms = self.items("axioms", self.labeled, "ident")
+        theorems = self.items("theorems", self.labeled, "ident")
+        self.expect("end")
         return Context(
             name,
             extends=extends,
             sets=sets,
             constants=constants,
-            axioms=tuple(axioms),
-            theorems=tuple(theorems),
+            axioms=axioms,
+            theorems=theorems,
             loc=loc,
         )
 
     def component(self) -> Machine | Context:
-        if self.at_kw("machine"):
+        if self.at("machine"):
             out: Machine | Context = self.machine()
-        elif self.at_kw("context"):
+        elif self.at("context"):
             out = self.context()
         else:
             raise self.fail("expected 'machine' or 'context'")

@@ -2,14 +2,18 @@
 
 Every formula must type-check in the simple three-type system
 (integer, boolean, set of integers); set-typed expressions may appear
-only as the right-hand side of a membership.  Identifier scopes,
-label uniqueness, assignment shape, witness subjects, and hint
-references are validated here.  Diagnostics carry stable codes and are
+only as the right-hand side of a membership.  A scope maps every
+identifier a formula may mention, primed ones included, to its type; a
+name missing from it is a ``primed-identifier`` or ``unknown-identifier``.
+Label uniqueness, assignment shape, witness subjects, and hint
+references are validated here too.  Diagnostics carry stable codes and are
 sorted by source position, so the result is independent of declaration
 order up to multiset equality.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostic, sort_key
 from .formula import (
@@ -41,7 +45,6 @@ from .model import (
     Context,
     DETERMINISTIC,
     Event,
-    INITIALISATION,
     MEMBER_OF,
     Model,
     SPLIT_CASE,
@@ -56,17 +59,22 @@ def _is_literal(f: Formula) -> bool:
     return isinstance(f, IntLiteral) or (isinstance(f, Minus) and isinstance(f.operand, IntLiteral))
 
 
+def _ints(scope: dict[str, str], names: Iterable[str]) -> dict[str, str]:
+    """``scope`` with each of ``names`` an integer."""
+    return {**scope, **dict.fromkeys(names, INT)}
+
+
 class _Checker:
-    def __init__(self) -> None:
+    def __init__(self, set_typed: set[str]) -> None:
         self.diagnostics: list[Diagnostic] = []
-        self.set_typed: set[str] = set()
+        self.set_typed = set_typed
 
     def report(self, code: str, message: str, loc: Loc | None) -> None:
         self.diagnostics.append(Diagnostic(code, message, loc))
 
     # -- the type system ----------------------------------------------------
 
-    def infer(self, f: Formula, env: dict[str, str], primed_ok: frozenset[str]) -> str:
+    def infer(self, f: Formula, scope: dict[str, str]) -> str:
         if isinstance(f, (Truth, Falsity)):
             return BOOL
         if isinstance(f, IntLiteral):
@@ -74,24 +82,24 @@ class _Checker:
         if isinstance(f, (NatSet, IntSet)):
             return SET
         if isinstance(f, Ident):
-            if f.primed and f.key not in primed_ok:
+            t = scope.get(f.key)
+            if t is not None:
+                return t
+            if f.primed:
                 self.report("primed-identifier", f"primed identifier {f.key!r} is not allowed here", f.loc)
-                return _ERROR
-            t = env.get(f.key)
-            if t is None:
+            else:
                 self.report("unknown-identifier", f"unknown identifier {f.key!r}", f.loc)
-                return _ERROR
-            return t
+            return _ERROR
         if isinstance(f, SetLiteral):
             for e in f.elements:
-                self.want(e, INT, env, primed_ok, "set literal element")
+                self.want(e, INT, scope, "set literal element")
             return SET
         if isinstance(f, Minus):
-            self.want(f.operand, INT, env, primed_ok, "arithmetic operand")
+            self.want(f.operand, INT, scope, "arithmetic operand")
             return INT
         if isinstance(f, (Add, Sub)):
-            self.want(f.left, INT, env, primed_ok, "arithmetic operand")
-            self.want(f.right, INT, env, primed_ok, "arithmetic operand")
+            self.want(f.left, INT, scope, "arithmetic operand")
+            self.want(f.right, INT, scope, "arithmetic operand")
             return INT
         if isinstance(f, Mul):
             if not (_is_literal(f.left) or _is_literal(f.right)):
@@ -100,37 +108,31 @@ class _Checker:
                     "multiplication needs an integer literal operand",
                     f.loc,
                 )
-            self.want(f.left, INT, env, primed_ok, "arithmetic operand")
-            self.want(f.right, INT, env, primed_ok, "arithmetic operand")
+            self.want(f.left, INT, scope, "arithmetic operand")
+            self.want(f.right, INT, scope, "arithmetic operand")
             return INT
         if isinstance(f, Comparison):
-            self.want(f.left, INT, env, primed_ok, "comparison operand")
-            self.want(f.right, INT, env, primed_ok, "comparison operand")
+            self.want(f.left, INT, scope, "comparison operand")
+            self.want(f.right, INT, scope, "comparison operand")
             return BOOL
         if isinstance(f, Membership):
-            self.want(f.element, INT, env, primed_ok, "membership element")
-            self.want(f.container, SET, env, primed_ok, "membership container")
+            self.want(f.element, INT, scope, "membership element")
+            self.want(f.container, SET, scope, "membership container")
             return BOOL
         if isinstance(f, Not):
-            self.want(f.operand, BOOL, env, primed_ok, "operand of 'not'")
+            self.want(f.operand, BOOL, scope, "operand of 'not'")
             return BOOL
         if isinstance(f, (And, Or, Implies, Iff)):
-            self.want(f.left, BOOL, env, primed_ok, "logical operand")
-            self.want(f.right, BOOL, env, primed_ok, "logical operand")
+            self.want(f.left, BOOL, scope, "logical operand")
+            self.want(f.right, BOOL, scope, "logical operand")
             return BOOL
         if isinstance(f, Quantifier):
-            inner = dict(env)
-            inner_primed = set(primed_ok)
-            for b in f.binders:
-                inner[b.key] = INT
-                if b.primed:
-                    inner_primed.add(b.key)
-            self.want(f.body, BOOL, inner, frozenset(inner_primed), "quantifier body")
+            self.want(f.body, BOOL, _ints(scope, (b.key for b in f.binders)), "quantifier body")
             return BOOL
         raise AssertionError(f"unhandled node {type(f).__name__}")
 
-    def want(self, f: Formula, expected: str, env: dict[str, str], primed_ok: frozenset[str], what: str) -> None:
-        actual = self.infer(f, env, primed_ok)
+    def want(self, f: Formula, expected: str, scope: dict[str, str], what: str) -> None:
+        actual = self.infer(f, scope)
         if actual not in (expected, _ERROR):
             if actual == SET:
                 msg = f"set-typed expression is only allowed on the right of 'in' ({what})"
@@ -138,43 +140,39 @@ class _Checker:
                 msg = f"{what} must be {expected}, found {actual}"
             self.report("type-error", msg, f.loc)
 
-    # -- set-type inference for constants -------------------------------------
 
-    def collect_set_usage(self, model: Model) -> None:
-        """A constant used as a membership container is set-typed everywhere."""
-
-        def scan(f: Formula) -> None:
-            for node in walk(f):
-                if isinstance(node, Membership) and isinstance(node.container, Ident):
-                    self.set_typed.add(node.container.key)
-
-        level: Model | None = model
-        seen: set[str] = set()
-        while level is not None:
-            for ctx in level.contexts:
-                if ctx.name not in seen:
-                    seen.add(ctx.name)
-                    for lp in ctx.axioms + ctx.theorems:
-                        scan(lp.predicate)
-            m = level.machine
-            for lp in m.invariants + m.theorems:
-                scan(lp.predicate)
-            for e in m.events + ((m.initialisation,) if m.initialisation else ()):
-                for lp in e.guards + e.guard_theorems:
-                    scan(lp.predicate)
-                for a in e.actions:
-                    scan(a.rhs)
-                    if a.kind == MEMBER_OF and isinstance(a.rhs, Ident):
-                        self.set_typed.add(a.rhs.key)
-                for w in e.witnesses:
-                    scan(w.predicate)
-                for h in e.hints:
-                    if h.predicate is not None:
-                        scan(h.predicate)
-            level = level.abstract
+def _levels(model: Model) -> Iterator[Model]:
+    """The model, the model it refines, and so on."""
+    level: Model | None = model
+    while level is not None:
+        yield level
+        level = level.abstract
 
 
-_NO_PRIMES: frozenset[str] = frozenset()
+def _set_typed(levels: list[Model]) -> set[str]:
+    """The constants used as a membership container: they are set-typed
+    everywhere."""
+    out: set[str] = set()
+    formulas: list[Formula] = []
+    seen: set[str] = set()
+    for level in levels:
+        for ctx in level.contexts:
+            if ctx.name not in seen:
+                seen.add(ctx.name)
+                formulas += [lp.predicate for lp in ctx.axioms + ctx.theorems]
+        m = level.machine
+        formulas += [lp.predicate for lp in m.invariants + m.theorems]
+        for e in m.events + ((m.initialisation,) if m.initialisation else ()):
+            formulas += [lp.predicate for lp in e.guards + e.guard_theorems]
+            formulas += [a.rhs for a in e.actions]
+            formulas += [w.predicate for w in e.witnesses]
+            formulas += [h.predicate for h in e.hints if h.predicate is not None]
+            out.update(a.rhs.key for a in e.actions if a.kind == MEMBER_OF and isinstance(a.rhs, Ident))
+    for f in formulas:
+        for node in walk(f):
+            if isinstance(node, Membership) and isinstance(node.container, Ident):
+                out.add(node.container.key)
+    return out
 
 
 def _context_env(checker: _Checker, contexts: tuple[Context, ...]) -> dict[str, str]:
@@ -199,7 +197,7 @@ def _check_context(checker: _Checker, ctx: Context, inherited: tuple[Context, ..
         if lp.label in labels:
             checker.report("duplicate-label", f"duplicate label {lp.label!r}", lp.loc)
         labels.add(lp.label)
-        checker.want(lp.predicate, BOOL, env, _NO_PRIMES, "axiom")
+        checker.want(lp.predicate, BOOL, env, "axiom")
 
 
 def _check_suchthat_primes(checker: _Checker, action) -> None:
@@ -229,12 +227,7 @@ def _check_event(
     fact_labels: set[str],
     invariant_labels: set[str],
 ) -> None:
-    m = model.machine
-    own_vars = m.variables
-    abstract_vars = model.abstract_variables()
-
-    if not event.is_initialisation and event.name == INITIALISATION:
-        checker.report("reserved-name", f"{INITIALISATION!r} is reserved for the initialisation event", event.loc)
+    own_vars = model.machine.variables
     if event.is_initialisation:
         if event.parameters:
             checker.report("init-form", "the initialisation event cannot have parameters", event.loc)
@@ -249,18 +242,7 @@ def _check_event(
             checker.report("duplicate-identifier", f"parameter {p!r} shadows another identifier", event.loc)
         seen_params.add(p)
 
-    env = dict(ctx_env)
-    for v in abstract_vars:
-        env[v] = INT
-    for v in own_vars:
-        env[v] = INT
-    guard_env = dict(ctx_env)
-    for v in own_vars:
-        guard_env[v] = INT
-    for p in event.parameters:
-        guard_env[p] = INT
-        env[p] = INT
-
+    guard_scope = _ints(ctx_env, own_vars + event.parameters)
     labels: set[str] = set()
     for lp in event.guards + event.guard_theorems:
         if lp.label in labels:
@@ -272,7 +254,7 @@ def _check_event(
                 lp.loc,
             )
         labels.add(lp.label)
-        checker.want(lp.predicate, BOOL, guard_env, _NO_PRIMES, "guard")
+        checker.want(lp.predicate, BOOL, guard_scope, "guard")
 
     assigned: set[str] = set()
     for a in event.actions:
@@ -286,27 +268,26 @@ def _check_event(
                 checker.report("duplicate-assignment", f"duplicate assignment target {t!r}", a.loc)
             assigned.add(t)
         if a.kind == DETERMINISTIC:
-            checker.want(a.rhs, INT, guard_env, _NO_PRIMES, "assignment right-hand side")
+            checker.want(a.rhs, INT, guard_scope, "assignment right-hand side")
         elif a.kind == MEMBER_OF:
-            checker.want(a.rhs, SET, guard_env, _NO_PRIMES, "':: ' right-hand side")
+            checker.want(a.rhs, SET, guard_scope, "':: ' right-hand side")
         else:
-            primed = frozenset(t + "'" for t in a.targets if t in own_vars)
-            st_env = dict(guard_env)
-            for k in primed:
-                st_env[k] = INT
-            checker.want(a.rhs, BOOL, st_env, primed, "suchThat predicate")
+            post = [t + "'" for t in a.targets if t in own_vars]
+            checker.want(a.rhs, BOOL, _ints(guard_scope, post), "suchThat predicate")
             _check_suchthat_primes(checker, a)
 
-    _check_witnesses(checker, model, event, env, labels, fact_labels)
+    # witnesses and case hints may also read the abstract variables
+    scope = _ints(guard_scope, model.abstract_variables()) if event.witnesses or event.hints else {}
+    _check_witnesses(checker, model, event, scope, labels, fact_labels)
     _check_refines(checker, model, event)
-    _check_hints(checker, event, env, fact_labels, invariant_labels)
+    _check_hints(checker, event, scope, fact_labels, invariant_labels)
 
 
 def _check_witnesses(
     checker: _Checker,
     model: Model,
     event: Event,
-    env: dict[str, str],
+    scope: dict[str, str],
     event_labels: set[str],
     fact_labels: set[str],
 ) -> None:
@@ -342,12 +323,8 @@ def _check_witnesses(
                 checker.report("useless-witness", f"witness subject {key!r} names a concrete identifier", w.loc)
         if key not in free_identifiers(w.predicate):
             checker.report("useless-witness", f"witness predicate never mentions its subject {key!r}", w.loc)
-        wit_env = dict(env)
-        primed = {v + "'" for v in m.variables}
-        for k in primed:
-            wit_env[k] = INT
-        wit_env[key] = INT
-        checker.want(w.predicate, BOOL, wit_env, frozenset(primed) | {key}, "witness predicate")
+        post = [v + "'" for v in m.variables] + [key]
+        checker.want(w.predicate, BOOL, _ints(scope, post), "witness predicate")
 
     if event.refines and abstract_events and all(ae is not None for ae in abstract_events):
         first = abstract_events[0]
@@ -394,7 +371,7 @@ def _check_refines(checker: _Checker, model: Model, event: Event) -> None:
 
 
 def _check_hints(
-    checker: _Checker, event: Event, env: dict[str, str], fact_labels: set[str], invariant_labels: set[str]
+    checker: _Checker, event: Event, scope: dict[str, str], fact_labels: set[str], invariant_labels: set[str]
 ) -> None:
     """``fact_labels`` are the labels of the visible facts (`Model.visible_facts`)."""
     targets: set[str] = set()
@@ -427,7 +404,7 @@ def _check_hints(
                     f"case predicate must not mention post-state identifiers ({', '.join(primed)})",
                     h.loc,
                 )
-            checker.want(h.predicate, BOOL, env, _NO_PRIMES, "case predicate")
+            checker.want(h.predicate, BOOL, scope, "case predicate")
 
 
 def _check_machine(checker: _Checker, model: Model) -> None:
@@ -446,11 +423,7 @@ def _check_machine(checker: _Checker, model: Model) -> None:
     if model.abstract:
         for lp in model.abstract.machine.invariants + model.abstract.machine.theorems:
             fact_labels.add(lp.label)
-    inv_env = dict(ctx_env)
-    for v in model.abstract_variables():
-        inv_env[v] = INT
-    for v in m.variables:
-        inv_env[v] = INT
+    inv_scope = _ints(ctx_env, model.abstract_variables() + m.variables)
     own_labels: set[str] = set()
     for lp in m.invariants + m.theorems:
         if lp.label in own_labels:
@@ -458,7 +431,7 @@ def _check_machine(checker: _Checker, model: Model) -> None:
         elif lp.label in fact_labels:
             checker.report("duplicate-label", f"label {lp.label!r} collides with a visible fact", lp.loc)
         own_labels.add(lp.label)
-        checker.want(lp.predicate, BOOL, inv_env, _NO_PRIMES, "invariant")
+        checker.want(lp.predicate, BOOL, inv_scope, "invariant")
     fact_labels |= own_labels
     invariant_labels = {lp.label for lp in m.invariants}
 
@@ -477,23 +450,15 @@ def wellformed(model: Model) -> list[Diagnostic]:
     Returns diagnostics sorted by source position; an empty list means
     the model is well-formed.
     """
-    checker = _Checker()
-    checker.collect_set_usage(model)
-
+    levels = list(_levels(model))
+    checker = _Checker(_set_typed(levels))
     checked: set[str] = set()
-    level: Model | None = model
-    while level is not None:
+    for level in levels:
         inherited: list[Context] = []
         for ctx in level.contexts:
             if ctx.name not in checked:
                 checked.add(ctx.name)
                 _check_context(checker, ctx, tuple(inherited))
             inherited.append(ctx)
-        level = level.abstract
-
-    level = model
-    while level is not None:
         _check_machine(checker, level)
-        level = level.abstract
-
     return sorted(checker.diagnostics, key=sort_key)

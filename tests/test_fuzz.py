@@ -38,6 +38,7 @@ PIECES = (
     "split", "case", "using", "end", "sets", "constants", "axioms", "NAT", "INT", "in", "not",
     "or", "&", "=>", "<=>", "=", "/=", "<=", "<", ":=", ":|", "::", ":", ",", "(", ")", "{", "}",
     ".", "'", "-", "+", "*", "A", "B", "x", "i1", "0", "7", "-3", "\n", "  ", "//", "∈", "¬",
+    "²", "7" * 5000,
 )
 
 

@@ -118,6 +118,45 @@ def test_error_location_points_at_offender():
     assert exc.value.diagnostic.loc == Loc(1, 4)
 
 
+def test_integer_literals_are_decimal_digits():
+    # '²' is a digit to str.isdigit but not to int()
+    with pytest.raises(ParseError, match="unexpected character '²'") as exc:
+        parse_predicate("x = ²")
+    assert exc.value.diagnostic.loc == Loc(1, 5)
+    assert parse_predicate("x² = 1") == Comparison("=", Ident("x²"), IntLiteral(1))
+
+
+def test_overlong_integer_literal_is_a_syntax_error():
+    digits = "7" * 5000
+    try:
+        value = int(digits)
+    except ValueError:  # Python's limit on digits converted to int
+        with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as exc:
+            parse_predicate(f"x = {digits}")
+        assert exc.value.diagnostic.code == "syntax" and exc.value.diagnostic.loc == Loc(1, 5)
+    else:
+        assert parse_predicate(f"x = {digits}").right == IntLiteral(value)
+
+
+def test_expect_messages_quote_a_kind_but_not_a_description():
+    with pytest.raises(ParseError, match=r"^<predicate>:1:7: syntax: expected end of input, found '\)'$"):
+        parse_predicate("x = 1 )")
+    with pytest.raises(ParseError, match=r"^<string>:3:6: syntax: expected ':' after label, found 'x'$"):
+        parse_source("machine m\ninvariants\n  i1 x = 0\nend\n")
+    with pytest.raises(ParseError, match=r"^<string>:2:1: syntax: expected 'end', found 'end of file'$"):
+        parse_source("context c\n")
+
+
+def test_initialisation_is_a_reserved_event_name():
+    with pytest.raises(ParseError) as exc:
+        parse_source("machine m\nevents\n  event INITIALISATION\n  end\nend\n")
+    assert exc.value.diagnostic.render() == (
+        "<string>:3:9: reserved-name: 'INITIALISATION' is reserved for the initialisation event"
+    )
+    with pytest.raises(ParseError, match="duplicate initialisation event"):
+        parse_source("machine m\nevents\n  initialisation\n  end\n  initialisation\n  end\nend\n")
+
+
 @pytest.mark.parametrize(
     "build",
     [
