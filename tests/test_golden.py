@@ -7,8 +7,9 @@
 obligation generation on the models under `tests/models/`, which reach
 the families the fixtures do not (context and machine theorems, guard
 theorems, GRD, WFIS on primed and unprimed witnesses, frames for
-disappearing variables, initialisation INV): `pos --format json` and
-the `export-smt` script of every obligation, in both hint modes.  A
+disappearing variables, initialisation INV): `pos --format json`, the
+`export-smt` script of every obligation, and the text output and JSON
+report of `prove --json` (blanked as above), in both hint modes.  A
 change that alters any of it changes the contract; write the new
 expectation on purpose with
 
@@ -39,21 +40,28 @@ def _output(result) -> dict:
     return {"exit": result.exit_code, "output": result.output}
 
 
+def _prove(path: str, mode: str, work: Path) -> dict:
+    """`prove --json` output and report, each `durationMillis` blanked."""
+    report = work / "report.json"
+    prove = run_cli("prove", path, "--hint-mode", mode, "--json", str(report))
+    return {
+        "prove": _output(prove),
+        "report": re.sub(r'"durationMillis": [^,\n]+', '"durationMillis": null', report.read_text()),
+    }
+
+
 def snapshot(name: str, mode: str, work: Path) -> dict:
     path = str(FIXTURES / name)
     pos = run_cli("pos", path, "--hint-mode", mode, "--format", "json")
-    report = work / "report.json"
-    prove = run_cli("prove", path, "--hint-mode", mode, "--json", str(report))
     names = [po["name"] for po in json.loads(pos.output)["obligations"]]
     return {
         "pos": _output(pos),
-        "prove": _output(prove),
-        "report": re.sub(r'"durationMillis": [^,\n]+', '"durationMillis": null', report.read_text()),
+        **_prove(path, mode, work),
         "export-smt": {po: _output(run_cli("export-smt", path, po, "--hint-mode", mode)) for po in names},
     }
 
 
-def generate_snapshot(name: str, mode: str) -> dict:
+def generate_snapshot(name: str, mode: str, work: Path) -> dict:
     """Run from `tests/models/`, so that diagnostics name the bare file."""
     here = os.getcwd()
     os.chdir(MODELS)
@@ -63,6 +71,7 @@ def generate_snapshot(name: str, mode: str) -> dict:
         names = [po["name"] for po in json.loads(report)["obligations"]]
         return {
             "pos": _output(pos),
+            **_prove(name, mode, work),
             "export-smt": {po: _output(run_cli("export-smt", name, po, "--hint-mode", mode)) for po in names},
         }
     finally:
@@ -78,9 +87,9 @@ def test_cli_output_matches_golden(name, mode, tmp_path):
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", MODEL_FILES)
-def test_generated_obligations_match_golden(name, mode):
+def test_generated_obligations_match_golden(name, mode, tmp_path):
     expected = json.loads(GENERATE_GOLDEN.read_text(encoding="utf-8"))[f"{name} {mode}"]
-    assert generate_snapshot(name, mode) == expected
+    assert generate_snapshot(name, mode, tmp_path) == expected
 
 
 def _write(path: Path, golden: dict) -> None:
@@ -92,4 +101,4 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as work:
         _write(GOLDEN, {f"{n} {m}": snapshot(n, m, Path(work)) for n in FIXTURE_FILES for m in MODES})
-    _write(GENERATE_GOLDEN, {f"{n} {m}": generate_snapshot(n, m) for n in MODEL_FILES for m in MODES})
+        _write(GENERATE_GOLDEN, {f"{n} {m}": generate_snapshot(n, m, Path(work)) for n in MODEL_FILES for m in MODES})
