@@ -61,7 +61,7 @@ def _report_diagnostics(diags: list[Diagnostic]) -> None:
         click.echo(d.render())
 
 
-def _obligations(path: str, hint_mode: str) -> tuple[Model, PoSet]:
+def _obligations(path: str, hint_mode: str) -> PoSet:
     model, diags = _load(path)
     if diags:
         _report_diagnostics(diags)
@@ -69,10 +69,10 @@ def _obligations(path: str, hint_mode: str) -> tuple[Model, PoSet]:
     assert model is not None
     poset = generate(model)
     if hint_mode == "pog":
-        poset, hint_diags = apply_hints_pog(poset, model)
+        poset, hint_diags = apply_hints_pog(poset)
         for d in _with_path(hint_diags, path):
             click.echo(d.render(), err=True)
-    return model, poset
+    return poset
 
 
 @click.group()
@@ -107,7 +107,7 @@ def check(files: tuple[str, ...]) -> None:
 )
 def pos(file: str, hint_mode: str, fmt: str) -> None:
     """List the proof obligations of FILE."""
-    _, poset = _obligations(file, hint_mode)
+    poset = _obligations(file, hint_mode)
     if fmt == "json":
         payload = {
             "machine": poset.source_machine,
@@ -156,14 +156,13 @@ def pos(file: str, hint_mode: str, fmt: str) -> None:
 )
 def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: int, json_path: str | None) -> None:
     """Prove the obligations of FILE, honouring its hints."""
-    model, poset = _obligations(file, hint_mode)
+    poset = _obligations(file, hint_mode)
     options = ProveOptions(lasso=lasso, all_hyps=all_hyps, timeout_ms=timeout_ms)
     memo = Memo()  # theory results shared by this command's obligations
     results: list[tuple[ProofResult, float]] = []
     for po in poset.obligations:
-        hints = model.machine.event_hints(po.origin.event) if hint_mode == "tactic" else ()
         start = time.perf_counter()
-        result = prove_obligation(po, hints, options=options, memo=memo)
+        result = prove_obligation(po, options=options, memo=memo)
         results.append((result, (time.perf_counter() - start) * 1000.0))
         click.echo(f"{result.status.upper()} {result.name}")
 
@@ -219,7 +218,7 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
 )
 def export_smt_command(file: str, po_name: str, hint_mode: str, respect_selection: bool) -> None:
     """Print one obligation of FILE as an SMT-LIB 2 script."""
-    _, poset = _obligations(file, hint_mode)
+    poset = _obligations(file, hint_mode)
     po = poset.get(po_name)
     if po is None:
         click.echo(f"error: no obligation named {po_name!r}; try 'ebhint pos'", err=True)

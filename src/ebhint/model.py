@@ -8,7 +8,6 @@ equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import count
 from typing import Iterator
 
@@ -120,19 +119,6 @@ class Machine:
             if e.name == name:
                 return e
         return None
-
-    @cached_property
-    def _hints_by_event(self) -> dict[str, tuple[Hint, ...]]:
-        out: dict[str, tuple[Hint, ...]] = {}
-        for e in self.events + ((self.initialisation,) if self.initialisation else ()):
-            out.setdefault(e.name, e.hints)  # the first event of a name wins
-        return out
-
-    def event_hints(self, name: str | None) -> tuple[Hint, ...]:
-        """The hints of the event called ``name``, the initialisation
-        included; none when there is no such event.  The lookup map is
-        built on the first call and lives as long as the machine."""
-        return self._hints_by_event.get(name, ())
 
     def without_hints(self) -> "Machine":
         init = self.initialisation and replace(self.initialisation, hints=())
@@ -265,11 +251,17 @@ KIND_MRG = "MRG"
 
 @dataclass(frozen=True)
 class ProofObligation:
+    """``hint`` is the hint still to apply: on an INV obligation from
+    `generate`, the first hint of its event that targets its invariant;
+    None on every other obligation and after `apply_hints_pog`.
+    ``hint_applied`` prints the hint that rewrote the sequent, if any."""
+
     name: str
     kind: str
     sequent: Sequent
     origin: Origin
     hint_applied: str | None = None
+    hint: Hint | None = None
 
 
 @dataclass(frozen=True)

@@ -342,9 +342,11 @@ class Parser:
     def _unary(self) -> Formula:
         if self.at("-"):
             loc = self.advance().loc
+            literal = self.peek().kind == "int"
             operand = self._nested(self._unary)
-            # fold negative integer literals so they print back verbatim
-            if isinstance(operand, IntLiteral):
+            # fold "-" and an integer token into a negative literal, which
+            # prints back verbatim; "-(3)" and "--3" stay a Minus
+            if literal:
                 return IntLiteral(-operand.value, loc=loc)
             return Minus(operand, loc=loc)
         return self._primary()

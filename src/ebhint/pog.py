@@ -12,7 +12,8 @@ proved from what precedes it plus the theorems stated before it.  One
 each invariant primed once per primed-name set) and what depends only
 on an event once per event (its guard, before-after and witness
 hypotheses, `_EventHyps`); an INV obligation selects its invariant by
-position.  Nothing outlives the call.  Also hosts the hint interpreter
+position and carries the first hint of its event that targets that
+invariant.  Nothing outlives the call.  Also hosts the hint interpreter
 (`apply_hint`), which the prover runs as a tactic and `apply_hints_pog`
 runs to rewrite the obligations ahead of proving, and the normalisation
 step used when exporting sequents.
@@ -157,12 +158,14 @@ def _select_at(hyps: tuple[Hypothesis, ...], positions: Iterable[int]) -> tuple[
 # --- obligation families -----------------------------------------------------
 
 
-def _po(kind: str, origin: Origin, hypotheses: tuple[Hypothesis, ...], goal: Predicate) -> ProofObligation:
+def _po(
+    kind: str, origin: Origin, hypotheses: tuple[Hypothesis, ...], goal: Predicate, hint: Hint | None = None
+) -> ProofObligation:
     """The obligation named after its origin: ``{event or owner}/{label}/{KIND}``,
     or ``{event}/{KIND}`` when there is no label."""
     owner = origin.event or origin.machine
     name = f"{owner}/{kind}" if origin.label is None else f"{owner}/{origin.label}/{kind}"
-    return ProofObligation(name, kind, Sequent(hypotheses, goal), origin)
+    return ProofObligation(name, kind, Sequent(hypotheses, goal), origin, hint=hint)
 
 
 def _theorem_pos(
@@ -224,13 +227,21 @@ def _simulation_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofO
 
 
 def _invariant_pos(model: Model, event: Event, hyps: _EventHyps, goals: tuple[Predicate, ...]) -> list[ProofObligation]:
-    """One obligation per invariant, its primed form in ``goals``; outside
-    the initialisation each selects its invariant."""
+    """One obligation per invariant, its primed form in ``goals``, with the
+    event's first hint that targets it; outside the initialisation each
+    selects its invariant."""
     m = model.machine
     seq_hyps = hyps.facts + hyps.guards + hyps.ba + hyps.witnesses
     where = {} if event.is_initialisation else _label_positions(seq_hyps)
+    hints = {h.target: h for h in reversed(event.hints)}  # the first hint of a target wins
     return [
-        _po(KIND_INV, Origin(m.name, event.name, inv.label), _select_at(seq_hyps, where.get(inv.label, ())), goal)
+        _po(
+            KIND_INV,
+            Origin(m.name, event.name, inv.label),
+            _select_at(seq_hyps, where.get(inv.label, ())),
+            goal,
+            hints.get(inv.label),
+        )
         for inv, goal in zip(m.invariants, goals)
     ]
 
@@ -238,8 +249,8 @@ def _invariant_pos(model: Model, event: Event, hyps: _EventHyps, goals: tuple[Pr
 def generate(model: Model) -> PoSet:
     """All proof obligations for the model's machine, in a fixed order.
 
-    Hints are ignored here; `apply_hint` applies them, either through
-    `apply_hints_pog` or as a tactic of the prover.
+    Each INV obligation carries its hint unapplied; `apply_hint` applies
+    it, either through `apply_hints_pog` or as a tactic of the prover.
     """
     m = model.machine
     facts = _hyps(model.visible_facts())
@@ -281,15 +292,6 @@ def generate(model: Model) -> PoSet:
 # --- hint application ---------------------------------------------------------
 
 
-def obligation_hint(po: ProofObligation, hints: tuple[Hint, ...]) -> Hint | None:
-    """The hint among ``hints`` (those of the obligation's event) that
-    applies to the obligation: only invariant preservation takes hints,
-    matched on the invariant's label."""
-    if po.kind != KIND_INV:
-        return None
-    return next((h for h in hints if h.target == po.origin.label), None)
-
-
 def tactic_select(sequent: Sequent, label: str) -> Sequent | None:
     if sequent.get(label) is None:
         return None
@@ -329,27 +331,29 @@ def apply_hint(sequent: Sequent, hint: Hint) -> tuple[Sequent, ...] | None:
     return case_sequents(sequent, hint.predicate)
 
 
-def apply_hints_pog(poset: PoSet, model: Model) -> tuple[PoSet, list[Diagnostic]]:
-    """Rewrite obligations according to the hints of their origin events
-    (see `apply_hint`); a split obligation is replaced by its case
+def apply_hints_pog(poset: PoSet) -> tuple[PoSet, list[Diagnostic]]:
+    """Rewrite each obligation by its hint (see `apply_hint`), leaving
+    none with a hint; a split obligation is replaced by its case
     children ``/case1`` and ``/case2``."""
     out: list[ProofObligation] = []
     diags: list[Diagnostic] = []
     for po in poset.obligations:
-        hint = obligation_hint(po, model.machine.event_hints(po.origin.event))
-        sequents = None if hint is None else apply_hint(po.sequent, hint)
-        if sequents is None:
-            if hint is not None:
-                diags.append(
-                    Diagnostic(
-                        "unresolved-hint-label",
-                        f"hint label {hint.label!r} is not a hypothesis of {po.name}",
-                        hint.loc,
-                    )
-                )
+        hint = po.hint
+        if hint is None:
             out.append(po)
+            continue
+        sequents = apply_hint(po.sequent, hint)
+        if sequents is None:
+            diags.append(
+                Diagnostic(
+                    "unresolved-hint-label",
+                    f"hint label {hint.label!r} is not a hypothesis of {po.name}",
+                    hint.loc,
+                )
+            )
+            out.append(replace(po, hint=None))
         elif len(sequents) == 1:
-            out.append(replace(po, sequent=sequents[0], hint_applied=print_hint(hint)))
+            out.append(replace(po, sequent=sequents[0], hint_applied=print_hint(hint), hint=None))
         else:
             for suffix, seq in zip(("/case1", "/case2"), sequents):
                 out.append(ProofObligation(po.name + suffix, po.kind, seq, po.origin, print_hint(hint)))

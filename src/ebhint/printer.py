@@ -84,8 +84,9 @@ def print_formula(f: Formula) -> str:
         return "INT"
     if isinstance(f, SetLiteral):
         return "{" + ", ".join(print_formula(e) for e in f.elements) + "}"
-    if isinstance(f, Minus):
-        return "-" + _at(f.operand, MINUS_LEVEL)
+    if isinstance(f, Minus):  # bracket a literal, or -3 would read back as one
+        operand = _at(f.operand, MINUS_LEVEL)
+        return f"-({operand})" if isinstance(f.operand, IntLiteral) and f.operand.value >= 0 else "-" + operand
     if isinstance(f, Comparison):
         return f"{_at(f.left, COMPARISON_LEVEL + 1)} {f.op} {_at(f.right, COMPARISON_LEVEL + 1)}"
     if isinstance(f, Membership):

@@ -64,14 +64,13 @@ from .formula import (
     walk,
 )
 from .model import (
-    Hint,
     Hypothesis,
     ProofObligation,
     Sequent,
     USE_HYPOTHESIS,
 )
 # case_sequents and tactic_select are the hint tactics, public here as well
-from .pog import apply_hint, case_sequents, obligation_hint, tactic_select  # noqa: F401
+from .pog import apply_hint, case_sequents, tactic_select  # noqa: F401
 from .printer import print_formula, print_hint
 
 PROVED = "proved"
@@ -749,24 +748,19 @@ def worst_status(statuses: Iterable[str]) -> str:
 
 
 def prove_obligation(
-    po: ProofObligation,
-    hints: tuple[Hint, ...] = (),
-    options: ProveOptions = ProveOptions(),
-    memo: Memo | None = None,
+    po: ProofObligation, *, options: ProveOptions = ProveOptions(), memo: Memo | None = None
 ) -> ProofResult:
     """Run the proof pipeline on one obligation.
 
-    The obligation's hint among ``hints`` (see `obligation_hint`) is
-    applied to every leaf by `apply_hint`; pass no hints for an
-    obligation that `apply_hints_pog` already rewrote.
-    ``memo`` is handed to every `decide` call (see `Memo`).
+    The obligation's own hint (``po.hint``) is applied to every leaf by
+    `apply_hint`.  ``memo`` is handed to every `decide` call (see `Memo`).
     """
     deadline = time.perf_counter() + options.timeout_ms / 1000.0
     trace: list[TraceStep] = []
     leaves = _expand(po.sequent, trace)
     hint_applied = po.hint_applied
 
-    hint = obligation_hint(po, hints)
+    hint = po.hint
     if hint is not None:
         applied = [apply_hint(s, hint) for s in leaves]
         if any(a is None for a in applied):  # only a use hint can fail

@@ -351,7 +351,7 @@ def _check_refines(checker: _Checker, model: Model, event: Event) -> None:
     resolved = []
     for name in event.refines:
         if name in seen:
-            checker.report("unknown-event", f"abstract event {name!r} listed twice", event.loc)
+            checker.report("duplicate-event", f"abstract event {name!r} listed twice", event.loc)
         seen.add(name)
         ae = model.abstract_event(name)
         if ae is None:

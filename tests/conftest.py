@@ -19,6 +19,10 @@ FIXTURE_FILES = (
     "case0_merge.ebh",
 )
 
+MODELS = Path(__file__).resolve().parent / "models"
+
+MODEL_FILES = ("gen_abstract.ebh", "gen_concrete.ebh")
+
 
 def run_cli(*args: str):
     """Invoke the CLI in-process and return the click result."""

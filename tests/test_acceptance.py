@@ -99,13 +99,12 @@ def test_criterion_3_hints_flip_the_verdict(tmp_path):
 def _aggregated_verdicts(model: Model, mode: str) -> dict[str, str]:
     poset = generate(model)
     if mode == "pog":
-        poset, diags = apply_hints_pog(poset, model)
+        poset, diags = apply_hints_pog(poset)
         assert diags == []
 
     per_root: dict[str, list[str]] = {}
     for po in poset.obligations:
-        hints = model.machine.event_hints(po.origin.event) if mode == "tactic" else ()
-        result = prove_obligation(po, hints)
+        result = prove_obligation(po)
         root = po.name
         for suffix in ("/case1", "/case2"):
             if root.endswith(suffix):
@@ -237,6 +236,6 @@ def test_criterion_9_po_counting_law():
     # one splitCase hint in pog mode adds exactly one obligation
     model = load("case0.ebh")
     plain = generate(model)
-    rewritten, diags = apply_hints_pog(plain, model)
+    rewritten, diags = apply_hints_pog(plain)
     assert diags == []
     assert len(rewritten.obligations) == len(plain.obligations) + 1

@@ -1,5 +1,5 @@
 """The CLI on malformed input: a diagnostic and exit code 0, 1 or 2,
-never a traceback."""
+never a traceback; and `prove` keeps every obligation to its budget."""
 
 from __future__ import annotations
 
@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_FILES, FIXTURES, run_cli
 
+TIMEOUT_MS = 100
+# the slack over the budget that an obligation's durationMillis may show, for host noise
+SLACK_MS = 1000
+
 COMMANDS = (
     ("check",),
     ("pos",),
     ("pos", "--hint-mode", "pog", "--format", "json"),
-    ("prove", "--timeout-ms", "100"),
-    ("prove", "--hint-mode", "pog", "--lasso", "--timeout-ms", "100"),
+    ("prove", "--timeout-ms", str(TIMEOUT_MS)),
+    ("prove", "--hint-mode", "pog", "--lasso", "--timeout-ms", str(TIMEOUT_MS)),
     ("export-smt", "--hint-mode", "pog"),  # on the last obligation of the unmutated fixture
 )
 
@@ -86,17 +90,22 @@ def parseable_mutants(draw) -> tuple[str, bytes]:
 
 def run_on(name: str, data: bytes, command: tuple[str, ...]):
     """Run a command on the given bytes, saved as fixture ``name`` next to
-    the other fixtures, which a model may refine."""
+    the other fixtures, which a model may refine; `prove` also writes
+    its JSON report."""
     obligation = (EXPORTED[name],) if command[0] == "export-smt" else ()
     with tempfile.TemporaryDirectory() as tmp:
         for other in FIXTURE_FILES:
             shutil.copy(FIXTURES / other, tmp)
         path = Path(tmp) / name
         path.write_bytes(data)
-        result = run_cli(command[0], str(path), *obligation, *command[1:])
+        report = Path(tmp) / "report.json"
+        json_option = ("--json", str(report)) if command[0] == "prove" else ()
+        result = run_cli(command[0], str(path), *obligation, *command[1:], *json_option)
+        proved = json.loads(report.read_text())["obligations"] if report.exists() else []
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
     assert "Traceback" not in result.output
+    assert [po["name"] for po in proved if po["durationMillis"] > TIMEOUT_MS + SLACK_MS] == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,12 +27,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_FILES, FIXTURES, run_cli
+from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 GENERATE_GOLDEN = GOLDEN.with_name("generate.json")
-MODELS = Path(__file__).resolve().parent / "models"
-MODEL_FILES = ("gen_abstract.ebh", "gen_concrete.ebh")
 MODES = ("tactic", "pog")
 
 

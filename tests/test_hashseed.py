@@ -17,12 +17,9 @@ import sys
 from pathlib import Path
 
 import ebhint
-from conftest import FIXTURE_FILES, FIXTURES
+from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS
 
-MODELS = Path(__file__).resolve().parent / "models"
-PATHS = [str(FIXTURES / name) for name in FIXTURE_FILES] + [
-    str(MODELS / name) for name in ("gen_abstract.ebh", "gen_concrete.ebh")
-]
+PATHS = [str(FIXTURES / name) for name in FIXTURE_FILES] + [str(MODELS / name) for name in MODEL_FILES]
 
 RUN_ALL = """
 import json, re, sys, tempfile

@@ -23,6 +23,7 @@ from ebhint.formula import (
     Or,
     Quantifier,
     Sub,
+    substitute,
 )
 from ebhint.model import Machine
 from ebhint.parser import MAX_DEPTH, ParseError, lex, load_model, parse_predicate, parse_source
@@ -190,6 +191,28 @@ def test_parenthesis_limit_points_at_the_opening_parenthesis():
 
 @given(predicates)
 def test_print_parse_round_trip(f):
+    assert parse_predicate(print_formula(f)) == f
+
+
+@pytest.mark.parametrize(
+    "term, text",
+    [
+        (Minus(IntLiteral(3)), "x = -(3)"),
+        (Minus(IntLiteral(-3)), "x = --3"),
+        (Minus(IntLiteral(0)), "x = -(0)"),
+        (IntLiteral(-3), "x = -3"),
+        (Minus(Minus(IntLiteral(3))), "x = --(3)"),
+    ],
+)
+def test_negated_literal_round_trip(term, text):
+    f = Comparison("=", Ident("x"), term)
+    assert print_formula(f) == text
+    assert parse_predicate(text) == f
+
+
+def test_substituted_literal_under_minus_round_trip():
+    f = substitute(parse_predicate("x = -y"), {"y": IntLiteral(3)})
+    assert f == Comparison("=", Ident("x"), Minus(IntLiteral(3)))
     assert parse_predicate(print_formula(f)) == f
 
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from conftest import FIXTURE_FILES, FIXTURES
+from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS
 from ebhint.model import (
     INITIALISATION,
     USE_HYPOTHESIS,
     Event,
     Hint,
     Hypothesis,
+    LabeledPredicate,
     Machine,
     Model,
     Sequent,
@@ -299,7 +300,7 @@ def test_select_at_label_positions_equals_select():
 
 def test_apply_hints_pog_use_selects_payload():
     model = load("hypSel0.ebh")
-    poset, diags = apply_hints_pog(generate(model), model)
+    poset, diags = apply_hints_pog(generate(model))
     assert diags == []
     po = poset.get("set/hypSel0_1/INV")
     assert set(po.sequent.selected_labels()) == {
@@ -313,7 +314,7 @@ def test_apply_hints_pog_use_selects_payload():
 
 def test_apply_hints_pog_case_children():
     model = load("case0.ebh")
-    poset, diags = apply_hints_pog(generate(model), model)
+    poset, diags = apply_hints_pog(generate(model))
     assert diags == []
     names = poset.names()
     assert "set/case0_1/INV" not in names
@@ -330,41 +331,62 @@ def test_apply_hints_pog_case_children():
 def test_apply_hints_pog_without_hints_is_identity():
     model = load("case0_abstract.ebh")
     poset = generate(model)
-    rewritten, diags = apply_hints_pog(poset, model)
+    rewritten, diags = apply_hints_pog(poset)
     assert diags == []
-    assert rewritten.obligations == poset.obligations
+    assert all(a is b for a, b in zip(rewritten.obligations, poset.obligations, strict=True))
 
 
-# --- hints on the initialisation ----------------------------------------------
+def test_apply_hints_pog_leaves_no_hint():
+    models = [load(name) for name in FIXTURE_FILES]
+    models += [load_model(MODELS / name)[0] for name in MODEL_FILES]
+    hinted = 0
+    for model in models:
+        poset = generate(model)
+        assert all(po.hint is None or po.kind == "INV" for po in poset.obligations)
+        hinted += sum(po.hint is not None for po in poset.obligations)
+        rewritten, _ = apply_hints_pog(poset)
+        assert all(po.hint is None for po in rewritten.obligations), model.machine.name
+        # an obligation without a hint passes through as the same object
+        kept = {po.name: po for po in rewritten.obligations}
+        for po in poset.obligations:
+            if po.hint is None:
+                assert kept[po.name] is po
+    assert hinted
 
 
-def test_event_hints_cover_initialisation(init_split_model):
+# --- which obligation carries which hint -----------------------------------------
+
+
+def test_inv_obligations_carry_their_events_first_matching_hint(init_split_model):
     model, diags = load_model(init_split_model)
     assert diags == []
-    (hint,) = model.machine.event_hints("INITIALISATION")
-    assert hint.target == "i1"
-    assert hint.predicate == parse_predicate("k = 1")
-    assert model.machine.event_hints("nope") == ()
-    assert model.machine.event_hints(None) == ()
-    machine = load("case0.ebh").machine
-    assert machine.event_hints("set") == machine.event("set").hints
+    (po,) = generate(model).obligations
+    assert po.hint == model.machine.initialisation.hints[0]
+    assert po.hint.predicate == parse_predicate("k = 1")
 
-
-def test_event_hints_first_event_of_a_name_wins():
     first = Hint(USE_HYPOTHESIS, "i1", label="ax1")
-    second = Hint(USE_HYPOTHESIS, "i1", label="ax2")
-    init = Hint(USE_HYPOTHESIS, "i1", label="ax3")
+    later = Hint(USE_HYPOTHESIS, "i1", label="ax9")
+    other = Hint(USE_HYPOTHESIS, "i2", label="ax2")
+    second = Hint(USE_HYPOTHESIS, "i1", label="ax3")
+    init = Hint(USE_HYPOTHESIS, "i2", label="ax4")
+    invariants = tuple(LabeledPredicate(label, parse_predicate("x in NAT")) for label in ("i1", "i2"))
     machine = Machine(
         "m",
-        events=(Event("e", hints=(first,)), Event("e", hints=(second,)), Event(INITIALISATION)),
+        variables=("x",),
+        invariants=invariants,
+        events=(Event("e", hints=(first, other, later)), Event("e", hints=(second,))),
         initialisation=Event(INITIALISATION, hints=(init,)),
     )
-    assert machine.event_hints("e") == (first,)
-    assert machine.event_hints(INITIALISATION) == ()
-    assert replace(machine, events=()).event_hints(INITIALISATION) == (init,)
-    assert replace(machine, events=machine.events[1:]).event_hints("e") == (second,)
-    assert machine.without_hints().event_hints("e") == ()
-    assert machine.event_hints("e") == (first,)
+    carried = [(po.name, po.hint) for po in generate(Model(machine)).obligations]
+    assert carried == [
+        ("INITIALISATION/i1/INV", None),
+        ("INITIALISATION/i2/INV", init),
+        ("e/i1/INV", first),
+        ("e/i2/INV", other),
+        ("e/i1/INV", second),
+        ("e/i2/INV", None),
+    ]
+    assert all(po.hint is None for po in generate(Model(machine.without_hints())).obligations)
 
 
 def test_without_hints_strips_initialisation_hints(init_split_model):
@@ -374,7 +396,7 @@ def test_without_hints_strips_initialisation_hints(init_split_model):
     init_split_model.write_text(pretty_print(stripped))
     reloaded, diags = load_model(init_split_model)
     assert diags == []
-    poset, diags = apply_hints_pog(generate(reloaded), reloaded)
+    poset, diags = apply_hints_pog(generate(reloaded))
     assert diags == []
     assert poset.names() == ("INITIALISATION/i1/INV",)
     assert poset.obligations[0].hint_applied is None
@@ -392,12 +414,12 @@ def test_initialisation_use_hint_on_missing_label(tmp_path):
     assert diags == []
     poset = generate(model)
     po = poset.get("INITIALISATION/i1/INV")
-    result = prove_obligation(po, model.machine.event_hints(po.origin.event))
+    result = prove_obligation(po)
     assert result.trace[0].render() == "tacticSelect(i2 not available)"
     assert result.hint_applied is None
-    rewritten, diags = apply_hints_pog(poset, model)
+    rewritten, diags = apply_hints_pog(poset)
     assert [d.code for d in diags] == ["unresolved-hint-label"]
-    assert rewritten.get(po.name).sequent == po.sequent
+    assert rewritten.get(po.name) == replace(po, hint=None)
 
 
 def test_case_sequents_single_round_relevance():

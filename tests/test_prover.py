@@ -6,6 +6,7 @@ import functools
 import random
 import sys
 import time
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -348,8 +349,8 @@ def memo_cases() -> tuple:
             model, _ = load_model(FIXTURES / name)
             poset = generate(model)
             for po in poset.obligations:
-                prove_obligation(po, model.machine.event_hints(po.origin.event))
-            for po in apply_hints_pog(poset, model)[0].obligations:
+                prove_obligation(po)
+            for po in apply_hints_pog(poset)[0].obligations:
                 prove_obligation(po)
     return tuple((case, recorded_decide(*case)) for case in calls)
 
@@ -554,51 +555,53 @@ def test_lasso_idempotent_property(s):
 
 def hinted_po(name="set/hypSel0_1/INV"):
     model, _ = load_model(FIXTURES / "hypSel0.ebh")
-    poset = generate(model)
-    po = poset.get(name)
-    hints = model.machine.events[0].hints
-    return po, hints
+    return generate(model).get(name)
 
 
-def test_prove_obligation_hint_makes_the_difference():
-    po, hints = hinted_po()
-    bare = prove_obligation(po)
+def test_prove_obligation_applies_its_hint():
+    po = hinted_po()
+    bare = prove_obligation(replace(po, hint=None))
     assert bare.status == UNPROVED
     assert bare.counterexample is not None
-    hinted = prove_obligation(po, hints)
+    hinted = prove_obligation(po)
     assert hinted.status == PROVED
     assert hinted.hint_applied == "use hypSel0_2 for hypSel0_1"
     assert any(step.tactic == "tacticSelect" for step in hinted.trace)
     assert "hypSel0_2" in hinted.selected_labels
 
 
-def test_prove_obligation_hint_only_for_matching_target():
-    po, hints = hinted_po("set/hypSel0_2/INV")
-    result = prove_obligation(po, hints)
+def test_prove_obligation_without_a_hint_for_its_target():
+    po = hinted_po("set/hypSel0_2/INV")
+    assert po.hint is None
+    result = prove_obligation(po)
     assert result.status == PROVED
     assert result.hint_applied is None
+
+
+def test_prove_obligation_options_are_keyword_only():
+    with pytest.raises(TypeError):
+        prove_obligation(hinted_po(), ProveOptions())
 
 
 def test_prove_obligation_case_hint_trace():
     model, _ = load_model(FIXTURES / "case0.ebh")
     poset = generate(model)
     po = poset.get("set/case0_1/INV")
-    hints = model.machine.events[0].hints
-    result = prove_obligation(po, hints)
+    result = prove_obligation(po)
     assert result.status == PROVED
     step = next(s for s in result.trace if s.tactic == "tacticCase")
     assert "2 subgoals" in step.detail
 
 
 def test_prove_obligation_all_hyps_option():
-    po, _ = hinted_po()
+    po = replace(hinted_po(), hint=None)  # the option alone proves it
     result = prove_obligation(po, options=ProveOptions(all_hyps=True))
     assert result.status == PROVED
     assert "selectAll" in {s.tactic for s in result.trace}
 
 
 def test_prove_obligation_lasso_option():
-    po, _ = hinted_po()
+    po = replace(hinted_po(), hint=None)  # the option alone proves it
     result = prove_obligation(po, options=ProveOptions(lasso=True))
     assert result.status == PROVED
 

@@ -338,7 +338,7 @@ DIAGNOSTICS = [
         "<model>:6:3: unknown-event: no abstract event named 'ghost'",
     ]),
     ("unknown-event twice", _refining(WITNESS_X, "event step refines step, step"), {"refines": ABSTRACT_XY}, [
-        "<model>:6:3: unknown-event: abstract event 'step' listed twice",
+        "<model>:6:3: duplicate-event: abstract event 'step' listed twice",
     ]),
     ("unknown-event no abstract", _refining(""), {}, [
         "<model>:6:3: unknown-event: event 'step' refines 'step' but the machine refines nothing",
