@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .diagnostics import Diagnostic
-from .model import Model, PoSet
+from .model import INITIALISATION, USE_HYPOTHESIS, Model, PoSet
 from .parser import load_model
 from .pog import apply_hints_pog, check_new_events, generate
 from .printer import print_formula
@@ -61,15 +61,24 @@ def _report_diagnostics(diags: list[Diagnostic]) -> None:
         click.echo(d.render())
 
 
-def _obligations(path: str, hint_mode: str) -> PoSet:
+def _obligations(path: str, hint_mode: str, owner: str | None = None) -> PoSet:
+    """The obligations of the file's machine, or only those of ``owner``
+    (see `generate`); in pog mode rewritten by their hints, with the
+    hint diagnostics of the whole set on stderr."""
     model, diags = _load(path)
     if diags:
         _report_diagnostics(diags)
         raise SystemExit(1)
     assert model is not None
-    poset = generate(model)
+    poset = generate(model, owner)
     if hint_mode == "pog":
         poset, hint_diags = apply_hints_pog(poset)
+        init = model.machine.initialisation
+        if owner not in (None, INITIALISATION) and init and any(h.kind == USE_HYPOTHESIS for h in init.hints):
+            # A well-formed model's use hints name visible facts, which
+            # every other event's INV obligations hold; only the
+            # initialisation's can miss theirs.
+            hint_diags = apply_hints_pog(generate(model, INITIALISATION))[1] + hint_diags
         for d in _with_path(hint_diags, path):
             click.echo(d.render(), err=True)
     return poset
@@ -218,7 +227,7 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
 )
 def export_smt_command(file: str, po_name: str, hint_mode: str, respect_selection: bool) -> None:
     """Print one obligation of FILE as an SMT-LIB 2 script."""
-    poset = _obligations(file, hint_mode)
+    poset = _obligations(file, hint_mode, owner=po_name.partition("/")[0])
     po = poset.get(po_name)
     if po is None:
         click.echo(f"error: no obligation named {po_name!r}; try 'ebhint pos'", err=True)

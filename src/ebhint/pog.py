@@ -13,10 +13,16 @@ each invariant primed once per primed-name set) and what depends only
 on an event once per event (its guard, before-after and witness
 hypotheses, `_EventHyps`); an INV obligation selects its invariant by
 position and carries the first hint of its event that targets that
-invariant.  Nothing outlives the call.  Also hosts the hint interpreter
-(`apply_hint`), which the prover runs as a tactic and `apply_hints_pog`
-runs to rewrite the obligations ahead of proving, and the normalisation
-step used when exporting sequents.
+invariant.  Nothing outlives the call.  Given an owner, `generate`
+builds only the obligations named ``{owner}/...``, which is how
+`export-smt` prints one obligation without building the others.
+
+Also hosts the hint interpreter (`apply_hint`), which the prover runs
+as a tactic and `apply_hints_pog` runs to rewrite the obligations ahead
+of proving.  On a well-formed model only the initialisation's INV
+obligations can draw an ``unresolved-hint-label`` there: a use hint
+names a visible fact, and every other event's INV obligations hold all
+of those.  Last, the normalisation step used when exporting sequents.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .formula import (
     free_identifiers,
     prime,
     substitute,
+    walk,
 )
 from .model import (
     DETERMINISTIC,
@@ -246,11 +253,16 @@ def _invariant_pos(model: Model, event: Event, hyps: _EventHyps, goals: tuple[Pr
     ]
 
 
-def generate(model: Model) -> PoSet:
+def generate(model: Model, owner: str | None = None) -> PoSet:
     """All proof obligations for the model's machine, in a fixed order.
 
-    Each INV obligation carries its hint unapplied; `apply_hint` applies
-    it, either through `apply_hints_pog` or as a tactic of the prover.
+    With ``owner``, only the obligations whose name starts with
+    ``{owner}/`` (identifiers hold no ``/``, so ``owner`` is
+    ``name.partition("/")[0]``): the theorems of the context or the
+    machine of that name and the obligations of the events of that
+    name, as and in the order the full set has them.  Each INV obligation
+    carries its hint unapplied; `apply_hint` applies it, either through
+    `apply_hints_pog` or as a tactic of the prover.
     """
     m = model.machine
     facts = _hyps(model.visible_facts())
@@ -259,15 +271,19 @@ def generate(model: Model) -> PoSet:
     before: tuple[Hypothesis, ...] = ()
     for ctx in model.contexts:  # each context sees the axioms and theorems of its chain so far
         before += _hyps(ctx.axioms, True)
-        pos.extend(_theorem_pos(before, ctx.theorems, Origin(ctx.name)))
+        if owner in (None, ctx.name):
+            pos.extend(_theorem_pos(before, ctx.theorems, Origin(ctx.name)))
         before += _hyps(ctx.theorems, True)
-    selected = _hyps(model.visible_facts(), True)  # these end in the machine's theorems
-    pos.extend(_theorem_pos(selected[: len(selected) - len(m.theorems)], m.theorems, Origin(m.name)))
+    if owner in (None, m.name):
+        selected = _hyps(model.visible_facts(), True)  # these end in the machine's theorems
+        pos.extend(_theorem_pos(selected[: len(selected) - len(m.theorems)], m.theorems, Origin(m.name)))
     state = set(m.variables)
     init_goals = tuple(prime(inv.predicate, state) for inv in m.invariants)
     refined = state | set(model.abstract_variables())
     goals = init_goals if refined == state else tuple(prime(inv.predicate, refined) for inv in m.invariants)
     for event in ((m.initialisation,) if m.initialisation else ()) + m.events:
+        if owner not in (None, event.name):
+            continue
         init = event.is_initialisation
         hyps = _EventHyps(
             init_facts if init else facts,
@@ -363,40 +379,72 @@ def apply_hints_pog(poset: PoSet) -> tuple[PoSet, list[Diagnostic]]:
 # --- misc --------------------------------------------------------------------
 
 
+def _ba_equation(h: Hypothesis) -> Comparison | None:
+    """The predicate of a ``BA:`` hypothesis of the shape ``x' = E``."""
+    p = h.predicate
+    if (
+        h.label.startswith("BA:")
+        and isinstance(p, Comparison)
+        and p.op == "="
+        and isinstance(p.left, Ident)
+        and p.left.primed
+    ):
+        return p
+    return None
+
+
 def normalize_deterministic_ba(sequent: Sequent) -> Sequent:
     """Inline deterministic before-after equations.
 
     Every ``BA:`` hypothesis of the shape ``x' = E`` with prime-free
-    ``E`` is substituted into the rest of the sequent and dropped.
+    ``E`` is substituted into the rest of the sequent and dropped, as if
+    the first such equation were inlined, the sequent scanned again, and
+    so on; an ``E`` may become prime-free on the way.  Each pass inlines
+    at once every such equation that is the first of its name.  A pass
+    takes only the first one, as the scan would, in two cases: while a
+    name's first equation still holds primes and a later one of that
+    name could be taken before it; and in every pass when a quantifier
+    binds a name that some ``E`` holds, because capture renaming then
+    picks a fresh name that depends on the order.
     """
-    hyps = list(sequent.hypotheses)
+    hyps = sequent.hypotheses
     goal = sequent.goal
-    changed = True
-    while changed:
-        changed = False
+    incoming = {k for h in hyps if (p := _ba_equation(h)) for k in free_identifiers(p.right)}
+    bound = {
+        b.key
+        for f in (goal, *(h.predicate for h in hyps))
+        for q in walk(f)
+        if isinstance(q, Quantifier)
+        for b in q.binders
+    }
+    in_order = not incoming.isdisjoint(bound)
+    while True:
+        first: dict[str, int] = {}  # name -> position of its first equation
+        repeated: set[str] = set()
+        ready: set[int] = set()
         for i, h in enumerate(hyps):
-            if not h.label.startswith("BA:"):
+            p = _ba_equation(h)
+            if p is None:
                 continue
-            p = h.predicate
-            if not (
-                isinstance(p, Comparison)
-                and p.op == "="
-                and isinstance(p.left, Ident)
-                and p.left.primed
-            ):
-                continue
-            if any(k.endswith("'") for k in free_identifiers(p.right)):
-                continue
-            mapping = {p.left.key: p.right}
-            hyps = [
-                Hypothesis(g.label, substitute(g.predicate, mapping), g.selected)
-                for j, g in enumerate(hyps)
-                if j != i
-            ]
-            goal = substitute(goal, mapping)
-            changed = True
-            break
-    return Sequent(tuple(hyps), goal)
+            if p.left.key in first:
+                repeated.add(p.left.key)
+            else:
+                first[p.left.key] = i
+            if not any(k.endswith("'") for k in free_identifiers(p.right)):
+                ready.add(i)
+        if not ready:
+            return Sequent(tuple(hyps), goal)
+        if in_order or any(first[k] not in ready for k in repeated):
+            taken = {min(ready)}
+        else:
+            taken = {i for i in ready if first[hyps[i].predicate.left.key] == i}
+        mapping = {hyps[i].predicate.left.key: hyps[i].predicate.right for i in sorted(taken)}
+        hyps = [
+            Hypothesis(g.label, substitute(g.predicate, mapping), g.selected)
+            for j, g in enumerate(hyps)
+            if j not in taken
+        ]
+        goal = substitute(goal, mapping)
 
 
 def check_new_events(model: Model) -> list[Diagnostic]:

@@ -380,6 +380,56 @@ def test_export_smt_unknown_obligation():
     assert "no obligation named" in result.output
 
 
+USE_ON_INITIALISATION = (
+    "machine use1\nvariables x y\ninvariants\n  i1: x in NAT\n  i2: y in NAT\nevents\n"
+    "  initialisation\n  then\n    a1: x := 0\n    a2: y := 0\n"
+    "  hints\n    use i2 for i1\n  end\n"
+    "  event step\n  then\n    a1: x := x + 1\n  end\nend\n"
+)
+
+
+def test_export_smt_prints_the_initialisations_hint_diagnostics(tmp_path):
+    # the initialisation cannot see invariant i2; exporting another
+    # event's obligation still reports that, as `pos` and `prove` do
+    path = tmp_path / "use1.ebh"
+    path.write_text(USE_ON_INITIALISATION)
+    diagnostic = (
+        f"{path}:12:5: unresolved-hint-label: hint label 'i2' is not a hypothesis of INITIALISATION/i1/INV\n"
+    )
+    pog = run_cli("export-smt", str(path), "step/i1/INV", "--hint-mode", "pog")
+    assert pog.exit_code == 0
+    assert pog.output.startswith(diagnostic + "; step/i1/INV\n")
+    assert run_cli("prove", str(path), "--hint-mode", "pog").output.startswith(diagnostic)
+    tactic = run_cli("export-smt", str(path), "step/i1/INV")
+    assert tactic.exit_code == 0
+    assert "unresolved-hint-label" not in tactic.output
+    unknown = run_cli("export-smt", str(path), "nosuch/i1/INV", "--hint-mode", "pog")
+    assert unknown.exit_code == 1
+    assert unknown.output == diagnostic + "error: no obligation named 'nosuch/i1/INV'; try 'ebhint pos'\n"
+
+
+def test_export_smt_generates_only_the_named_owner(monkeypatch, tmp_path):
+    path = tmp_path / "use1.ebh"
+    path.write_text(USE_ON_INITIALISATION)
+    generated = []
+    original = cli.generate
+
+    def recording(model, owner=None):
+        poset = original(model, owner)
+        generated.append((owner, poset.names()))
+        return poset
+
+    monkeypatch.setattr(cli, "generate", recording)
+    assert run_cli("export-smt", str(path), "step/i2/INV").exit_code == 0
+    assert generated == [("step", ("step/i1/INV", "step/i2/INV"))]
+    generated.clear()
+    assert run_cli("export-smt", str(path), "step/i2/INV", "--hint-mode", "pog").exit_code == 0
+    assert generated == [
+        ("step", ("step/i1/INV", "step/i2/INV")),
+        ("INITIALISATION", ("INITIALISATION/i1/INV", "INITIALISATION/i2/INV")),
+    ]
+
+
 def test_export_smt_pog_mode_child():
     result = run_cli(
         "export-smt",

@@ -5,7 +5,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS
+from ebhint.formula import Add, Comparison, Ident, IntLiteral, Quantifier, free_identifiers, substitute
 from ebhint.model import (
     INITIALISATION,
     USE_HYPOTHESIS,
@@ -30,6 +34,7 @@ from ebhint.pog import (
 )
 from ebhint.printer import pretty_print, print_formula
 from ebhint.prover import prove_obligation
+from ebhint.wellformed import wellformed
 
 
 def event_of(source: str):
@@ -126,6 +131,123 @@ def test_normalized_sequent_matches_displayed_form():
         parse_predicate("x in {1, 2}"),
     ]
     assert seq.goal == parse_predicate("y + 1 in NAT")
+
+
+def sequential_normalization(sequent: Sequent) -> Sequent:
+    """The reference: take the first ``BA:`` equation ``x' = E`` with
+    prime-free ``E``, inline it everywhere else, drop it, and scan again."""
+    hyps = list(sequent.hypotheses)
+    goal = sequent.goal
+    changed = True
+    while changed:
+        changed = False
+        for i, h in enumerate(hyps):
+            p = h.predicate
+            if not (
+                h.label.startswith("BA:")
+                and isinstance(p, Comparison)
+                and p.op == "="
+                and isinstance(p.left, Ident)
+                and p.left.primed
+            ):
+                continue
+            if any(k.endswith("'") for k in free_identifiers(p.right)):
+                continue
+            mapping = {p.left.key: p.right}
+            hyps = [
+                Hypothesis(g.label, substitute(g.predicate, mapping), g.selected)
+                for j, g in enumerate(hyps)
+                if j != i
+            ]
+            goal = substitute(goal, mapping)
+            changed = True
+            break
+    return Sequent(tuple(hyps), goal)
+
+
+def ba_sequent(hyps: list[tuple[str, str]], goal: str) -> Sequent:
+    return Sequent(tuple(Hypothesis(label, parse_predicate(text), True) for label, text in hyps), parse_predicate(goal))
+
+
+def test_normalization_inlines_a_dependent_chain():
+    seq = ba_sequent([("BA:y", "y' = x' + 1"), ("h", "y' > z"), ("BA:x", "x' = 0")], "y' + x' >= 0")
+    normal = normalize_deterministic_ba(seq)
+    assert normal == sequential_normalization(seq)
+    assert normal == ba_sequent([("h", "0 + 1 > z")], "0 + 1 + 0 >= 0")
+
+
+def test_normalization_takes_the_first_equation_of_a_name():
+    seq = ba_sequent([("BA:x", "x' = 1"), ("BA:x", "x' = 2"), ("BA:y", "y' = x'")], "x' = y'")
+    normal = normalize_deterministic_ba(seq)
+    assert normal == sequential_normalization(seq)
+    assert normal == ba_sequent([("BA:x", "1 = 2")], "1 = 1")
+
+
+def test_normalization_keeps_the_order_where_an_earlier_equation_waits():
+    # k's first equation waits for m'; inlining j' frees the second one,
+    # which the sequential scan then takes before m' = 2 frees the first
+    seq = ba_sequent([("BA:k", "k' = m'"), ("BA:j", "j' = 1"), ("BA:k", "k' = j'"), ("BA:m", "m' = 2")], "k' = 0")
+    normal = normalize_deterministic_ba(seq)
+    assert normal == sequential_normalization(seq)
+    assert normal == ba_sequent([("BA:k", "1 = 2")], "1 = 0")
+
+
+def test_normalization_of_a_wfis_goal_whose_binder_a_replacement_captures():
+    # a WFIS goal binds q, which the replacements of x' and y' hold
+    seq = ba_sequent(
+        [("BA:x", "x' = q + 1"), ("BA:y", "y' = q1 + q"), ("g", "q1 in {1, 2}")],
+        "exists q . q = x' + y'",
+    )
+    normal = normalize_deterministic_ba(seq)
+    assert normal == sequential_normalization(seq)
+    assert isinstance(normal.goal, Quantifier)
+    (binder,) = normal.goal.binders
+    assert binder.key not in {"q", "q1"}
+    assert free_identifiers(normal.goal) == {"q", "q1"}
+
+
+def test_normalization_equals_the_sequential_scan_on_every_generated_obligation():
+    models = [load(name) for name in FIXTURE_FILES]
+    models += [load_model(path)[0] for path in sorted(MODELS.glob("*.ebh"))]
+    checked = 0
+    for model in models:
+        poset = generate(model)
+        for po in poset.obligations + apply_hints_pog(poset)[0].obligations:
+            assert normalize_deterministic_ba(po.sequent) == sequential_normalization(po.sequent), po.name
+            checked += 1
+    assert checked > 100
+
+
+_KEYS = ("a'", "b'", "c'")
+_ba_terms = st.one_of(
+    st.sampled_from(_KEYS + ("a", "b", "q")).map(lambda k: Ident(k.rstrip("'"), primed=k.endswith("'"))),
+    st.integers(-3, 3).map(IntLiteral),
+)
+_ba_exprs = st.lists(_ba_terms, min_size=1, max_size=3).map(lambda ts: ts[0] if len(ts) == 1 else Add(ts[0], ts[1]))
+
+
+@st.composite
+def ba_equation_sequents(draw) -> Sequent:
+    """Sequents of ``BA:`` equations over a few primed names, with
+    repeated names, equations that wait for others, and a goal that may
+    bind ``q`` or ``a``."""
+    hyps = []
+    for i in range(draw(st.integers(0, 6))):
+        key = draw(st.sampled_from(_KEYS))
+        left = Ident(key[:-1], primed=True)
+        label = draw(st.sampled_from(("BA:" + key[:-1], f"h{i}")))
+        hyps.append(Hypothesis(label, Comparison("=", left, draw(_ba_exprs)), draw(st.booleans())))
+    goal = Comparison("<=", draw(_ba_exprs), draw(_ba_exprs))
+    binder = draw(st.sampled_from((None, "q", "a")))
+    if binder is not None:
+        goal = Quantifier("exists", (Ident(binder),), goal)
+    return Sequent(tuple(hyps), goal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ba_equation_sequents())
+def test_normalization_equals_the_sequential_scan(seq):
+    assert normalize_deterministic_ba(seq) == sequential_normalization(seq)
 
 
 def test_guard_theorem_obligation():
@@ -293,6 +415,132 @@ def test_select_at_label_positions_equals_select():
         selected = Sequent(_select_at(hyps, where.get(label, ())), x)
         assert selected == seq.select({label})
     assert _select_at(hyps, ()) == hyps
+
+
+# --- one owner's obligations ---------------------------------------------------
+
+# A refinement whose machine is named like one of its events, with
+# parameter and primed witnesses, a use hint on the initialisation that
+# cannot resolve there, and split and use hints elsewhere.
+OWNER_ABSTRACT = """machine walk
+variables x y
+invariants
+  ia1: x in NAT
+  ia2: y <= x
+events
+  initialisation
+  then
+    a1: x := 0
+    a2: y := 0
+  end
+  event step
+  any p
+  where
+    g1: p in {1, 2}
+  then
+    a1: x := x + p
+  end
+  event reset
+  then
+    a1: y := 0
+  end
+end
+"""
+OWNER_CONCRETE = """machine step refines walk
+variables x z
+invariants
+  ic1: z = y
+  ic2: z <= x
+theorems
+  t1: z <= x + 1
+events
+  initialisation
+  then
+    a1: x := 0
+    a2: z := 0
+  hints
+    use ia2 for ic2
+  end
+  event step refines step
+  any q
+  where
+    g1: q in {1, 2}
+  with
+    p: p = q
+    y': y' = z
+  then
+    a1: x := x + q
+  hints
+    split case using q = 1 for ic2
+    use ia2 for ic1
+  end
+  event reset refines reset
+  with
+    y': y' = 0
+  then
+    a1: z := 0
+  hints
+    use ic1 for ic2
+  end
+  event drift
+  then
+    a1: x := x + 1
+  end
+end
+"""
+
+
+def _owner(name: str) -> str:
+    return name.partition("/")[0]
+
+
+def owner_models(tmp_path) -> list[Model]:
+    (tmp_path / "walk.ebh").write_text(OWNER_ABSTRACT)
+    (tmp_path / "step.ebh").write_text(OWNER_CONCRETE)
+    models = [load(name) for name in FIXTURE_FILES]
+    paths = sorted(MODELS.glob("*.ebh")) + [tmp_path / "step.ebh"]
+    for path in paths:
+        model, diags = load_model(path)
+        assert diags == [] and wellformed(model) == [], path
+        models.append(model)
+    return models
+
+
+def test_owner_model_names_its_machine_like_an_event(tmp_path):
+    model = owner_models(tmp_path)[-1]
+    assert model.machine.name == "step" and model.machine.event("step") is not None
+    names = generate(model).names()
+    assert {name.rpartition("/")[2] for name in names} == {"THM", "GRD", "WFIS", "SIM", "INV"}
+    assert {"step/t1/THM", "step/p/WFIS", "step/y'/WFIS", "step/g1/GRD"} <= set(names)
+    assert "step/ic2/INV/case1" in apply_hints_pog(generate(model))[0].names()
+
+
+def test_generate_for_an_owner_is_the_full_set_filtered(tmp_path):
+    for model in owner_models(tmp_path):
+        full = generate(model)
+        rewritten, _ = apply_hints_pog(full)
+        owners = {_owner(name) for name in full.names()}
+        assert owners, model.machine.name
+        for owner in sorted(owners) + ["nosuch"]:
+            part = generate(model, owner)
+            assert part.source_machine == full.source_machine
+            assert part.obligations == tuple(po for po in full.obligations if _owner(po.name) == owner)
+            assert apply_hints_pog(part)[0].obligations == tuple(
+                po for po in rewritten.obligations if _owner(po.name) == owner
+            ), (model.machine.name, owner)
+        assert generate(model, "nosuch").obligations == ()
+
+
+def test_only_the_initialisation_draws_hint_diagnostics(tmp_path):
+    """`export-smt` in pog mode rewrites one owner's obligations and
+    takes the hint diagnostics from the initialisation's: on a
+    well-formed model those are all the diagnostics there are."""
+    drawn = 0
+    for model in owner_models(tmp_path):
+        _, diags = apply_hints_pog(generate(model))
+        assert apply_hints_pog(generate(model, INITIALISATION))[1] == diags
+        drawn += len(diags)
+    assert drawn
 
 
 # --- pog-mode hint application ------------------------------------------------
