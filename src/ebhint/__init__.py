@@ -22,7 +22,6 @@ from .pog import (
     apply_hints_pog,
     before_after,
     case_sequents,
-    check_new_events,
     generate,
     normalize_deterministic_ba,
 )
@@ -41,7 +40,7 @@ from .prover import (
     tactic_select,
 )
 from .smtlib import export_smt
-from .wellformed import wellformed
+from .wellformed import check_new_events, wellformed
 
 __all__ = [
     "Context",

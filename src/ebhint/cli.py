@@ -22,11 +22,11 @@ from . import __version__
 from .diagnostics import Diagnostic
 from .model import INITIALISATION, USE_HYPOTHESIS, Model, PoSet
 from .parser import load_model
-from .pog import apply_hints_pog, check_new_events, generate
+from .pog import apply_hints_pog, generate
 from .printer import print_formula
 from .prover import PROVED, UNPROVED, Memo, ProofResult, ProveOptions, prove_obligation
 from .smtlib import export_smt
-from .wellformed import wellformed
+from .wellformed import check_new_events, wellformed
 
 _HINT_MODE = click.option(
     "--hint-mode",
@@ -37,11 +37,6 @@ _HINT_MODE = click.option(
 )
 
 
-def _with_path(diags: list[Diagnostic], path: str) -> list[Diagnostic]:
-    """Give diagnostics raised on an already loaded model the file's path."""
-    return [d if d.path else replace(d, path=str(Path(path))) for d in diags]
-
-
 def _load(path: str) -> tuple[Model | None, list[Diagnostic]]:
     try:
         model, diags = load_model(path)
@@ -50,7 +45,7 @@ def _load(path: str) -> tuple[Model | None, list[Diagnostic]]:
         raise SystemExit(2)
     if model is not None:
         extra = wellformed(model) + check_new_events(model)
-        diags = diags + _with_path(extra, path)
+        diags = diags + extra
         if extra:
             model = None
     return model, diags
@@ -79,8 +74,8 @@ def _obligations(path: str, hint_mode: str, owner: str | None = None) -> PoSet:
             # every other event's INV obligations hold; only the
             # initialisation's can miss theirs.
             hint_diags = apply_hints_pog(generate(model, INITIALISATION))[1] + hint_diags
-        for d in _with_path(hint_diags, path):
-            click.echo(d.render(), err=True)
+        for d in hint_diags:  # they point into the machine's own file
+            click.echo(replace(d, path=model.machine.path).render(), err=True)
     return poset
 
 

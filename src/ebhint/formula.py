@@ -218,6 +218,12 @@ def walk(f: Formula) -> Iterator[Formula]:
         yield from walk(c)
 
 
+def named_sets(f: Formula) -> set[str]:
+    """The keys of the identifiers that ``f`` uses as a membership
+    container: the named sets it mentions."""
+    return {n.container.key for n in walk(f) if isinstance(n, Membership) and isinstance(n.container, Ident)}
+
+
 def free_identifiers(f: Formula) -> frozenset[str]:
     """Free identifier keys.  Primed and unprimed occurrences are distinct."""
     if isinstance(f, Ident):

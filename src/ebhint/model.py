@@ -1,8 +1,8 @@
 """Model types: contexts, machines, events, hints, sequents, obligations.
 
 Everything is a frozen dataclass holding tuples, so models are safe to
-share and compare structurally.  Source locations never take part in
-equality.
+share and compare structurally.  Source locations, and the file a
+loaded machine or context came from, never take part in equality.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ class Event:
     def is_initialisation(self) -> bool:
         return self.name == INITIALISATION
 
-    def assigned_variables(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for a in self.actions:
-            out.extend(a.targets)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Machine:
@@ -113,6 +107,7 @@ class Machine:
     events: tuple[Event, ...] = ()
     initialisation: Event | None = None
     loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
+    path: str | None = field(default=None, kw_only=True, compare=False, repr=False)
 
     def event(self, name: str) -> Event | None:
         for e in self.events:
@@ -135,6 +130,7 @@ class Context:
     axioms: tuple[LabeledPredicate, ...] = ()
     theorems: tuple[LabeledPredicate, ...] = ()
     loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
+    path: str | None = field(default=None, kw_only=True, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -230,16 +226,6 @@ class Sequent:
         return next(label for label in spellings if label not in taken)
 
 
-@dataclass(frozen=True)
-class Origin:
-    """Provenance of an obligation: owning machine or context, the event
-    when event-related, and the model element label when any."""
-
-    machine: str
-    event: str | None = None
-    label: str | None = None
-
-
 #: Obligation kinds.
 KIND_INV = "INV"
 KIND_THM = "THM"
@@ -259,7 +245,6 @@ class ProofObligation:
     name: str
     kind: str
     sequent: Sequent
-    origin: Origin
     hint_applied: str | None = None
     hint: Hint | None = None
 

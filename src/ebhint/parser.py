@@ -29,6 +29,7 @@ quantifier when it is an operand.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple, TypeVar
@@ -594,6 +595,8 @@ class _Loader:
             return None
         component, diags = try_parse(text, str(path))
         self.diagnostics.extend(diags)
+        if component is not None:
+            component = replace(component, path=str(path))
         self.cache[path] = component
         return component
 
@@ -667,9 +670,11 @@ class _Loader:
 def load_model(path: str | Path) -> tuple[Model | None, list[Diagnostic]]:
     """Load a machine or context file together with everything it references.
 
-    A context file is wrapped in a model whose machine is empty and named
-    after the context, so checking and theorem-obligation generation work
-    uniformly.  Problems in referenced files become diagnostics; an
+    Each machine and context read from a file carries it in ``path``:
+    ``path`` itself as given for the loaded one, the absolute path for
+    the files it references.  A context file is wrapped in a model whose machine
+    is empty and named after the context, so checking and
+    theorem-obligation generation work uniformly.  Problems in referenced files become diagnostics; an
     unreadable or non-UTF-8 ``path`` itself raises ``OSError``.
     """
     p = Path(path)
@@ -677,6 +682,7 @@ def load_model(path: str | Path) -> tuple[Model | None, list[Diagnostic]]:
     component, diags = try_parse(text, str(p))
     if component is None:
         return None, diags
+    component = replace(component, path=str(p))
     loader = _Loader()
     loader.cache[p.resolve()] = component
     if isinstance(component, Context):

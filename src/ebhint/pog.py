@@ -3,9 +3,9 @@
 Builds the obligation set for a machine: invariant preservation (INV),
 theorems (THM), and for refinements guard strengthening (GRD), action
 simulation (SIM), witness feasibility (WFIS) and merge correctness
-(MRG).  Every obligation is named after its origin:
-``{event or owner}/{label}/{KIND}``, or ``{event}/MRG`` for a merge,
-which has no label; the owner is the machine or context.  A theorem is
+(MRG).  Every obligation is named ``{owner}/{label}/{KIND}``, or
+``{event}/MRG`` for a merge, which has no label; the owner is the
+event, or the machine or context for its own theorems.  A theorem is
 proved from what precedes it plus the theorems stated before it.  One
 `generate` call builds what depends only on the model once
 (the two fact tuples, for the initialisation and for other events, and
@@ -59,7 +59,6 @@ from .model import (
     LabeledPredicate,
     MEMBER_OF,
     Model,
-    Origin,
     PoSet,
     ProofObligation,
     Sequent,
@@ -166,24 +165,20 @@ def _select_at(hyps: tuple[Hypothesis, ...], positions: Iterable[int]) -> tuple[
 
 
 def _po(
-    kind: str, origin: Origin, hypotheses: tuple[Hypothesis, ...], goal: Predicate, hint: Hint | None = None
+    kind: str, owner: str, label: str | None, hypotheses: tuple[Hypothesis, ...], goal: Predicate, hint: Hint | None = None
 ) -> ProofObligation:
-    """The obligation named after its origin: ``{event or owner}/{label}/{KIND}``,
-    or ``{event}/{KIND}`` when there is no label."""
-    owner = origin.event or origin.machine
-    name = f"{owner}/{kind}" if origin.label is None else f"{owner}/{origin.label}/{kind}"
-    return ProofObligation(name, kind, Sequent(hypotheses, goal), origin, hint=hint)
+    """The obligation ``{owner}/{label}/{KIND}``, or ``{owner}/{KIND}``
+    when there is no label."""
+    name = f"{owner}/{kind}" if label is None else f"{owner}/{label}/{kind}"
+    return ProofObligation(name, kind, Sequent(hypotheses, goal), hint=hint)
 
 
 def _theorem_pos(
-    before: tuple[Hypothesis, ...], theorems: tuple[LabeledPredicate, ...], origin: Origin
+    before: tuple[Hypothesis, ...], theorems: tuple[LabeledPredicate, ...], owner: str
 ) -> list[ProofObligation]:
     """Theorem i is proved from ``before`` plus theorems 0..i-1, all selected."""
     hyps = before + _hyps(theorems, True)
-    return [
-        _po(KIND_THM, replace(origin, label=th.label), hyps[: len(before) + i], th.predicate)
-        for i, th in enumerate(theorems)
-    ]
+    return [_po(KIND_THM, owner, th.label, hyps[: len(before) + i], th.predicate) for i, th in enumerate(theorems)]
 
 
 def _merge_po(model: Model, event: Event, hyps: _EventHyps) -> ProofObligation:
@@ -191,7 +186,7 @@ def _merge_po(model: Model, event: Event, hyps: _EventHyps) -> ProofObligation:
     goal = disjunction(
         tuple(conjunction(tuple(g.predicate for g in ae.guards)) for ae in abstract_events if ae)
     )
-    return _po(KIND_MRG, Origin(model.machine.name, event.name), hyps.facts + hyps.guards, goal)
+    return _po(KIND_MRG, event.name, None, hyps.facts + hyps.guards, goal)
 
 
 def _guard_strengthening_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofObligation]:
@@ -202,19 +197,17 @@ def _guard_strengthening_pos(model: Model, event: Event, hyps: _EventHyps) -> li
         h for h, w in zip(hyps.witnesses, event.witnesses) if not w.subject.primed
     )
     seq_hyps = hyps.facts + hyps.guards + parameter_witnesses
-    return [
-        _po(KIND_GRD, Origin(model.machine.name, event.name, g.label), seq_hyps, g.predicate)
-        for g in ae.guards
-    ]
+    return [_po(KIND_GRD, event.name, g.label, seq_hyps, g.predicate) for g in ae.guards]
 
 
-def _wfis_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofObligation]:
+def _wfis_pos(event: Event, hyps: _EventHyps) -> list[ProofObligation]:
     pre = hyps.facts + hyps.guards
     post = pre + hyps.ba
     return [
         _po(
             KIND_WFIS,
-            Origin(model.machine.name, event.name, w.subject.key),
+            event.name,
+            w.subject.key,
             post if w.subject.primed else pre,
             Quantifier("exists", (w.subject,), w.predicate),
         )
@@ -228,7 +221,7 @@ def _simulation_pos(model: Model, event: Event, hyps: _EventHyps) -> list[ProofO
         return []
     seq_hyps = hyps.facts + hyps.guards + hyps.ba + hyps.witnesses
     return [
-        _po(KIND_SIM, Origin(model.machine.name, event.name, c.action_label or c.label), seq_hyps, c.predicate)
+        _po(KIND_SIM, event.name, c.action_label or c.label, seq_hyps, c.predicate)
         for c in before_after(ae, model.abstract.machine.variables)
     ]
 
@@ -237,19 +230,19 @@ def _invariant_pos(model: Model, event: Event, hyps: _EventHyps, goals: tuple[Pr
     """One obligation per invariant, its primed form in ``goals``, with the
     event's first hint that targets it; outside the initialisation each
     selects its invariant."""
-    m = model.machine
     seq_hyps = hyps.facts + hyps.guards + hyps.ba + hyps.witnesses
     where = {} if event.is_initialisation else _label_positions(seq_hyps)
     hints = {h.target: h for h in reversed(event.hints)}  # the first hint of a target wins
     return [
         _po(
             KIND_INV,
-            Origin(m.name, event.name, inv.label),
+            event.name,
+            inv.label,
             _select_at(seq_hyps, where.get(inv.label, ())),
             goal,
             hints.get(inv.label),
         )
-        for inv, goal in zip(m.invariants, goals)
+        for inv, goal in zip(model.machine.invariants, goals)
     ]
 
 
@@ -272,11 +265,11 @@ def generate(model: Model, owner: str | None = None) -> PoSet:
     for ctx in model.contexts:  # each context sees the axioms and theorems of its chain so far
         before += _hyps(ctx.axioms, True)
         if owner in (None, ctx.name):
-            pos.extend(_theorem_pos(before, ctx.theorems, Origin(ctx.name)))
+            pos.extend(_theorem_pos(before, ctx.theorems, ctx.name))
         before += _hyps(ctx.theorems, True)
     if owner in (None, m.name):
         selected = _hyps(model.visible_facts(), True)  # these end in the machine's theorems
-        pos.extend(_theorem_pos(selected[: len(selected) - len(m.theorems)], m.theorems, Origin(m.name)))
+        pos.extend(_theorem_pos(selected[: len(selected) - len(m.theorems)], m.theorems, m.name))
     state = set(m.variables)
     init_goals = tuple(prime(inv.predicate, state) for inv in m.invariants)
     refined = state | set(model.abstract_variables())
@@ -293,12 +286,12 @@ def generate(model: Model, owner: str | None = None) -> PoSet:
         )
         if event.guard_theorems:  # proved from the facts and the guards, all selected
             facts_and_guards = _select_at(hyps.facts, range(len(hyps.facts))) + hyps.guards[: len(event.guards)]
-            pos.extend(_theorem_pos(facts_and_guards, event.guard_theorems, Origin(m.name, event.name)))
+            pos.extend(_theorem_pos(facts_and_guards, event.guard_theorems, event.name))
         if len(event.refines) >= 2:
             pos.append(_merge_po(model, event, hyps))
         elif len(event.refines) == 1:
             pos.extend(_guard_strengthening_pos(model, event, hyps))
-        pos.extend(_wfis_pos(model, event, hyps))
+        pos.extend(_wfis_pos(event, hyps))
         if event.refines:
             pos.extend(_simulation_pos(model, event, hyps))
         pos.extend(_invariant_pos(model, event, hyps, init_goals if init else goals))
@@ -372,7 +365,7 @@ def apply_hints_pog(poset: PoSet) -> tuple[PoSet, list[Diagnostic]]:
             out.append(replace(po, sequent=sequents[0], hint_applied=print_hint(hint), hint=None))
         else:
             for suffix, seq in zip(("/case1", "/case2"), sequents):
-                out.append(ProofObligation(po.name + suffix, po.kind, seq, po.origin, print_hint(hint)))
+                out.append(ProofObligation(po.name + suffix, po.kind, seq, print_hint(hint)))
     return PoSet(poset.source_machine, tuple(out)), diags
 
 
@@ -445,25 +438,3 @@ def normalize_deterministic_ba(sequent: Sequent) -> Sequent:
             if j not in taken
         ]
         goal = substitute(goal, mapping)
-
-
-def check_new_events(model: Model) -> list[Diagnostic]:
-    """New events of a refinement must not assign variables that the
-    abstract machine also declares."""
-    diags: list[Diagnostic] = []
-    if model.abstract is None:
-        return diags
-    abstract_vars = set(model.abstract.machine.variables)
-    for e in model.machine.events:
-        if e.refines:
-            continue
-        for v in e.assigned_variables():
-            if v in abstract_vars:
-                diags.append(
-                    Diagnostic(
-                        "new-event-assigns-abstract",
-                        f"new event {e.name!r} assigns abstract variable {v!r}",
-                        e.loc,
-                    )
-                )
-    return diags

@@ -60,8 +60,8 @@ from .formula import (
     conjunction,
     evaluate,
     free_identifiers,
+    named_sets,
     substitute,
-    walk,
 )
 from .model import (
     Hypothesis,
@@ -116,15 +116,13 @@ class ProofResult:
         return "; ".join(step.render() for step in self.trace)
 
 
-class _Unsupported(Exception):
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+class _Stop(Exception):
+    """Ends `decide` with a verdict: a formula it cannot handle, or the
+    branch cap or the deadline reached."""
 
-
-class _Budget(Exception):
-    def __init__(self, reason: str) -> None:
+    def __init__(self, status: str, reason: str) -> None:
         super().__init__(reason)
+        self.status = status
         self.reason = reason
 
 
@@ -158,8 +156,8 @@ def _linear(e: Formula) -> tuple[dict[str, int], int]:
             return {k: lk * v for k, v in rc.items()}, lk * rk
         if not rc:
             return {k: rk * v for k, v in lc.items()}, rk * lk
-        raise _Unsupported("nonlinear multiplication")
-    raise _Unsupported(f"set-valued term in arithmetic position: {print_formula(e)}")
+        raise _Stop(UNSUPPORTED, "nonlinear multiplication")
+    raise _Stop(UNSUPPORTED, f"set-valued term in arithmetic position: {print_formula(e)}")
 
 
 def _atom(diff_coeffs: dict[str, int], bound: int):
@@ -212,8 +210,8 @@ def _nnf(f: Formula, positive: bool):
     if isinstance(f, Membership):
         return _membership(f, positive)
     if isinstance(f, Quantifier):
-        raise _Unsupported(f"quantified goal or hypothesis: {print_formula(f)}")
-    raise _Unsupported(f"cannot decide {print_formula(f)}")
+        raise _Stop(UNSUPPORTED, f"quantified goal or hypothesis: {print_formula(f)}")
+    raise _Stop(UNSUPPORTED, f"cannot decide {print_formula(f)}")
 
 
 def _comparison(f: Comparison, positive: bool):
@@ -251,7 +249,7 @@ def _membership(f: Membership, positive: bool):
     if isinstance(f.container, Ident):
         key = ("set", f.container.key, f.element)
         return ("lit", key, positive)
-    raise _Unsupported(f"membership in {print_formula(f.container)}")
+    raise _Stop(UNSUPPORTED, f"membership in {print_formula(f.container)}")
 
 
 # --- lazy DPLL(T) search ------------------------------------------------------
@@ -270,23 +268,26 @@ class Memo:
         self.nnf: dict = {}
 
 
+# Branches and Fourier-Motzkin stages one `decide` call may visit.
+BRANCH_CAP = 1 << 16
+
+
 class _Search:
-    def __init__(self, deadline: float | None, cap: int, memo: Memo | None = None) -> None:
+    def __init__(self, deadline: float | None, memo: Memo | None = None) -> None:
         self.deadline = deadline
-        self.cap = cap
         self.visited = 0
         self.memo = memo if memo is not None else Memo()
 
     def tick(self, n: int = 1) -> None:
         self.visited += n
-        if self.visited > self.cap:
-            self.visited = self.cap + 1  # where ticking one at a time stops
-            raise _Budget("branch cap exceeded")
+        if self.visited > BRANCH_CAP:
+            self.visited = BRANCH_CAP + 1  # where ticking one at a time stops
+            raise _Stop(UNPROVED, "branch cap exceeded")
         self.check_deadline()
 
     def check_deadline(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise _Budget("timeout")
+            raise _Stop(UNPROVED, "timeout")
 
 
 def _simplify(tree, assignment: dict):
@@ -371,9 +372,8 @@ def _propagate(tree, assignment: dict, search: _Search, theory: _Theory, new: li
 def _solve(tree, search: _Search):
     """Depth-first search for a model of the tree, branching on the first
     literal, True first; the open nodes are kept on a list, as a path
-    can be thousands of branches long.  Returns the integer sample
-    (possibly partial) and the literal assignment of the first model
-    found, or None when there is none."""
+    can be thousands of branches long.  Returns the theory state of the
+    first model found, or None when there is none."""
     assignment: dict = {}
     frames: list = []  # the open nodes' tree, theory state, trail and branch literal
     trail: list = []
@@ -394,7 +394,7 @@ def _solve(tree, search: _Search):
         else:
             tree, theory = node
             if tree == ("true",):
-                return _sample(theory), dict(assignment)
+                return theory
             key = _first_literal(tree)
             frames.append((tree, theory, trail, key))
             assignment[key] = True
@@ -486,13 +486,6 @@ def _sample(theory: _Theory) -> dict[str, int] | None:
     return {name: v for sample in samples for name, v in sample.items()}
 
 
-def _feasible(assignment: dict, search: _Search) -> tuple[bool, dict[str, int] | None]:
-    """Fourier-Motzkin on an assignment's linear literals, from scratch:
-    feasibility and the integer sample (None when not integral)."""
-    theory = _extend(_EMPTY, [key for key in assignment if key[0] == "lin"], assignment, search)
-    return (False, None) if theory is None else (True, _sample(theory))
-
-
 def _eliminate(rows: dict, search: _Search) -> tuple[str | None, dict[str, int] | None]:
     """Eliminate the variables of one component in sorted order (a row
     holds the one being eliminated as its first coefficient).  Returns
@@ -551,24 +544,16 @@ def _eliminate(rows: dict, search: _Search) -> tuple[str | None, dict[str, int] 
 # --- the decision entry point ---------------------------------------------------
 
 
-def _has_opaque(formulas: Iterable[Formula]) -> bool:
-    for f in formulas:
-        for node in walk(f):
-            if isinstance(node, Membership) and isinstance(node.container, Ident):
-                return True
-    return False
-
-
 def decide(
     hypotheses: tuple[Predicate, ...],
     goal: Predicate,
     deadline: float | None = None,
-    cap: int = 1 << 16,
     memo: Memo | None = None,
 ) -> Decision:
     """Validity of hypotheses |- goal, by refuting their conjunction with
-    the negated goal.  A ``memo`` shared by several calls saves their
-    common theory work; without one each call keeps its own."""
+    the negated goal, within `BRANCH_CAP` branches.  A ``memo`` shared
+    by several calls saves their common theory work; without one each
+    call keeps its own."""
     try:
         trees = [_nnf(goal, False)]
         for h in reversed(hypotheses):
@@ -576,18 +561,14 @@ def decide(
                 trees.append(_nnf(h, True))
             else:
                 trees.append(memo.nnf.get(h) or memo.nnf.setdefault(h, _nnf(h, True)))
-    except _Unsupported as u:
-        return Decision(UNSUPPORTED, u.reason)
-    search = _Search(deadline, cap, memo)
-    try:
-        found = _solve(balanced(lambda a, b: ("and", a, b), trees[::-1]), search)
-    except _Budget as b:
-        return Decision(UNPROVED, b.reason)
-    if found is None:
+        theory = _solve(balanced(lambda a, b: ("and", a, b), trees[::-1]), _Search(deadline, memo))
+    except _Stop as stop:
+        return Decision(stop.status, stop.reason)
+    if theory is None:
         return Decision(PROVED, "no countermodel")
-    sample, assignment = found
-    if _has_opaque(hypotheses + (goal,)):
+    if any(named_sets(f) for f in hypotheses + (goal,)):
         return Decision(UNPROVED, "countermodel constrains opaque set memberships")
+    sample = _sample(theory)
     if sample is None:
         return Decision(UNPROVED, "countermodel is not integral")
     names = sorted(set().union(*[free_identifiers(f) for f in hypotheses + (goal,)]))

@@ -31,6 +31,7 @@ from .formula import (
     Sub,
     Truth,
     free_identifiers,
+    named_sets,
     walk,
 )
 from .model import Hypothesis, ProofObligation
@@ -103,14 +104,8 @@ def export_smt(po: ProofObligation, respect_selection: bool = False) -> str:
     )
     formulas = [h.predicate for h in hyps] + [sequent.goal]
 
-    sets: set[str] = set()
-    has_quantifier = False
-    for f in formulas:
-        for node in walk(f):
-            if isinstance(node, Membership) and isinstance(node.container, Ident):
-                sets.add(node.container.key)
-            elif isinstance(node, Quantifier):
-                has_quantifier = True
+    sets = set().union(*map(named_sets, formulas))
+    has_quantifier = any(isinstance(node, Quantifier) for f in formulas for node in walk(f))
     consts = sorted(set().union(*[free_identifiers(f) for f in formulas]) - sets)
 
     logic = ("" if has_quantifier else "QF_") + ("UFLIA" if sets else "LIA")

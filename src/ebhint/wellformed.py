@@ -6,9 +6,12 @@ only as the right-hand side of a membership.  A scope maps every
 identifier a formula may mention, primed ones included, to its type; a
 name missing from it is a ``primed-identifier`` or ``unknown-identifier``.
 Label uniqueness, assignment shape, witness subjects, and hint
-references are validated here too.  Diagnostics carry stable codes and are
-sorted by source position, so the result is independent of declaration
-order up to multiset equality.
+references are validated here too.  Diagnostics carry stable codes and
+the file of the machine or context they point into, and are sorted by
+file and source position, so the result is independent of declaration
+order up to multiset equality.  `check_new_events` checks, level by
+level, that the new events of a refinement leave the abstract
+variables alone.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .formula import (
     Sub,
     Truth,
     free_identifiers,
-    walk,
+    named_sets,
 )
 from .model import (
     Context,
@@ -68,9 +71,10 @@ class _Checker:
     def __init__(self, set_typed: set[str]) -> None:
         self.diagnostics: list[Diagnostic] = []
         self.set_typed = set_typed
+        self.path: str | None = None  # the file of the component being checked
 
     def report(self, code: str, message: str, loc: Loc | None) -> None:
-        self.diagnostics.append(Diagnostic(code, message, loc))
+        self.diagnostics.append(Diagnostic(code, message, loc, self.path))
 
     # -- the type system ----------------------------------------------------
 
@@ -169,9 +173,7 @@ def _set_typed(levels: list[Model]) -> set[str]:
             formulas += [h.predicate for h in e.hints if h.predicate is not None]
             out.update(a.rhs.key for a in e.actions if a.kind == MEMBER_OF and isinstance(a.rhs, Ident))
     for f in formulas:
-        for node in walk(f):
-            if isinstance(node, Membership) and isinstance(node.container, Ident):
-                out.add(node.container.key)
+        out |= named_sets(f)
     return out
 
 
@@ -458,7 +460,32 @@ def wellformed(model: Model) -> list[Diagnostic]:
         for ctx in level.contexts:
             if ctx.name not in checked:
                 checked.add(ctx.name)
+                checker.path = ctx.path
                 _check_context(checker, ctx, tuple(inherited))
             inherited.append(ctx)
+        checker.path = level.machine.path
         _check_machine(checker, level)
     return sorted(checker.diagnostics, key=sort_key)
+
+
+def check_new_events(model: Model) -> list[Diagnostic]:
+    """At every refinement level, a new event must not assign a variable
+    that the machine it refines declares; in event and action order,
+    the model's own level first."""
+    diags: list[Diagnostic] = []
+    for level in _levels(model):
+        if level.abstract is None:
+            continue
+        abstract_vars = set(level.abstract.machine.variables)
+        m = level.machine
+        diags += (
+            Diagnostic(
+                "new-event-assigns-abstract", f"new event {e.name!r} assigns abstract variable {v!r}", e.loc, m.path
+            )
+            for e in m.events
+            if not e.refines
+            for a in e.actions
+            for v in a.targets
+            if v in abstract_vars
+        )
+    return diags

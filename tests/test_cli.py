@@ -98,6 +98,34 @@ def test_check_machine_that_sees_a_context(tmp_path):
     assert [line.split(": ")[1] for line in result.output.splitlines()] == ["duplicate-label", "unknown-identifier"]
 
 
+def test_check_names_the_file_that_holds_the_position(tmp_path):
+    a = tmp_path / "a.ebh"
+    a.write_text("machine a\nvariables x\ninvariants\n  i1: x in NAT\n  i1: x <= 5\nevents\nend\n")
+    b = tmp_path / "b.ebh"
+    b.write_text("machine b refines a\nvariables x\ninvariants\n  j1: x <= 3\n  j1: x <= 4\nevents\nend\n")
+    result = run_cli("check", str(b))
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"{a.resolve()}:5:3: duplicate-label: duplicate label 'i1'",
+        f"{b}:5:3: duplicate-label: duplicate label 'j1'",
+    ]
+
+
+def test_check_new_events_at_every_refinement_level(tmp_path):
+    (tmp_path / "c.ebh").write_text("machine c\nvariables x\ninvariants\n  i1: x in NAT\nevents\nend\n")
+    a = tmp_path / "a.ebh"
+    a.write_text(
+        "machine a refines c\nvariables x\nevents\n  event bump\n  then\n    a1: x := x + 1\n  end\nend\n"
+    )
+    b = tmp_path / "b.ebh"
+    b.write_text("machine b refines a\nvariables x\nevents\nend\n")
+    rendered = "4:3: new-event-assigns-abstract: new event 'bump' assigns abstract variable 'x'"
+    result = run_cli("check", str(a))
+    assert (result.exit_code, result.output) == (1, f"{a}:{rendered}\n")
+    result = run_cli("check", str(b))
+    assert (result.exit_code, result.output) == (1, f"{a.resolve()}:{rendered}\n")
+
+
 def test_check_multiple_files_aggregate(tmp_path):
     good = FIXTURES / "hypSel0.ebh"
     bad = tmp_path / "bad.ebh"

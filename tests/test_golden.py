@@ -9,7 +9,11 @@ the families the fixtures do not (context and machine theorems, guard
 theorems, GRD, WFIS on primed and unprimed witnesses, frames for
 disappearing variables, initialisation INV): `pos --format json`, the
 `export-smt` script of every obligation, and the text output and JSON
-report of `prove --json` (blanked as above), in both hint modes.  A
+report of `prove --json` (blanked as above), in both hint modes.
+`golden/decide.json` pins the decision core: the status, reason,
+counterexample and branch count (`_Search.visited`) of `decide` on
+`DECIDE_DRAWS` seeded random sequents and on the pinned pathological
+ones, so a change to the search states every `visited` it moves.  A
 change that alters any of it changes the contract; write the new
 expectation on purpose with
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import sys
 import tempfile
@@ -28,9 +33,16 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS, run_cli
+from ebhint import prover
+from ebhint.parser import parse_predicate
+from strategies import random_sequent
+from test_prover import PINNED
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 GENERATE_GOLDEN = GOLDEN.with_name("generate.json")
+DECIDE_GOLDEN = GOLDEN.with_name("decide.json")
+DECIDE_SEED = 2012
+DECIDE_DRAWS = 400
 MODES = ("tactic", "pog")
 
 
@@ -90,6 +102,44 @@ def test_generated_obligations_match_golden(name, mode, tmp_path):
     assert generate_snapshot(name, mode, tmp_path) == expected
 
 
+def decide_snapshot() -> dict:
+    """Each sequent's `decide` verdict and the branch count of its search."""
+    cases = {
+        f"pinned {i}": (tuple(map(parse_predicate, hyps)), parse_predicate(goal))
+        for i, (hyps, goal) in enumerate(PINNED)
+    }
+    rng = random.Random(DECIDE_SEED)
+    for i in range(DECIDE_DRAWS):
+        s = random_sequent(rng)
+        cases[f"random {i}"] = (tuple(h.predicate for h in s.hypotheses if h.selected), s.goal)
+    searches = []
+
+    class Recording(prover._Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    plain, prover._Search = prover._Search, Recording
+    try:
+        out = {}
+        for name, (hyps, goal) in cases.items():
+            searches.clear()
+            d = prover.decide(hyps, goal)
+            out[name] = {
+                "status": d.status,
+                "reason": d.reason,
+                "counterexample": d.counterexample and [list(pair) for pair in d.counterexample],
+                "visited": [search.visited for search in searches],
+            }
+        return out
+    finally:
+        prover._Search = plain
+
+
+def test_decide_matches_golden():
+    assert decide_snapshot() == json.loads(DECIDE_GOLDEN.read_text(encoding="utf-8"))
+
+
 def _write(path: Path, golden: dict) -> None:
     path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -100,3 +150,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         _write(GOLDEN, {f"{n} {m}": snapshot(n, m, Path(work)) for n in FIXTURE_FILES for m in MODES})
         _write(GENERATE_GOLDEN, {f"{n} {m}": generate_snapshot(n, m, Path(work)) for n in MODEL_FILES for m in MODES})
+    _write(DECIDE_GOLDEN, decide_snapshot())

@@ -28,7 +28,6 @@ from ebhint.pog import (
     apply_hints_pog,
     before_after,
     case_sequents,
-    check_new_events,
     generate,
     normalize_deterministic_ba,
 )
@@ -694,18 +693,3 @@ def test_case_sequents_fresh_labels():
     pos, _neg = case_sequents(s, parse_predicate("A = 1"))
     labels = pos.labels()
     assert len(labels) == len(set(labels))
-
-
-def test_check_new_events_rejects_abstract_assignment():
-    abstract = (
-        "machine a\nvariables x\ninvariants\n  ia1: x in INT\nevents\n"
-        "  event step\n  then\n    a1: x := x + 1\n  end\nend\n"
-    )
-    concrete = (
-        "machine c refines a\nvariables x y\ninvariants\n  ic1: y in INT\nevents\n"
-        "  event step refines step\n  then\n    a1: x := x + 1\n  end\n"
-        "  event fresh\n  then\n    a1: x := 0\n  end\nend\n"
-    )
-    model = Model(machine=parse_source(concrete), abstract=Model(machine=parse_source(abstract)))
-    diags = check_new_events(model)
-    assert any(d.code == "new-event-assigns-abstract" for d in diags)

@@ -95,9 +95,10 @@ def test_decide_opaque_set_membership_sound():
     assert d.counterexample is None  # not confirmable, so not reported
 
 
-def test_decide_branch_budget():
+def test_decide_branch_budget(monkeypatch):
+    monkeypatch.setattr(prover, "BRANCH_CAP", 4)
     hyps = tuple(p(f"v{i} in {{0, 1}}") for i in range(20))
-    d = decide(hyps, p("v0 + v1 >= 9"), cap=4)
+    d = decide(hyps, p("v0 + v1 >= 9"))
     assert d.status == UNPROVED
     assert "branch cap" in d.reason
     assert d.counterexample is None
@@ -107,6 +108,14 @@ def test_decide_past_deadline_times_out():
     d = decide((p("x <= 0"),), p("x <= 1"), deadline=time.perf_counter() - 1)
     assert d.status == UNPROVED
     assert d.reason == "timeout"
+
+
+def fourier_motzkin(assignment, search):
+    """The theory state of an assignment's linear literals, built from
+    the empty one: feasibility and the integer sample (None when not
+    integral)."""
+    theory = prover._extend(prover._EMPTY, [key for key in assignment if key[0] == "lin"], assignment, search)
+    return (False, None) if theory is None else (True, prover._sample(theory))
 
 
 def test_fm_checks_deadline_per_row_pair_without_ticking():
@@ -121,8 +130,8 @@ def test_fm_checks_deadline_per_row_pair_without_ticking():
     for k in range(3):
         assignment[("lin", (("x", -1), ("y", 1)), k)] = True
         assignment[("lin", (("x", 1),), 5 + k)] = True
-    search = Counting(None, 1 << 16)
-    feasible, _ = prover._feasible(assignment, search)
+    search = Counting(None)
+    feasible, _ = fourier_motzkin(assignment, search)
     assert feasible
     assert search.visited == 2  # one tick per eliminated variable, x and y
     assert search.deadline_checks >= search.visited + 9
@@ -146,9 +155,10 @@ PINNED = (
 
 @pytest.mark.parametrize("cap", [1 << 16, 2_000])
 @pytest.mark.parametrize("index", [0, 1])
-def test_decide_pinned_pathological_sequents(index, cap):
+def test_decide_pinned_pathological_sequents(monkeypatch, index, cap):
+    monkeypatch.setattr(prover, "BRANCH_CAP", cap)
     hyps, goal = PINNED[index]
-    d = decide(tuple(p(h) for h in hyps), p(goal), cap=cap)
+    d = decide(tuple(p(h) for h in hyps), p(goal))
     assert d.status == PROVED, d.reason
 
 
@@ -165,7 +175,7 @@ def test_decide_monotone_on_pinned_witness():
 PINNED_VISITED = (4, 4)
 
 
-def decide_visited(monkeypatch, hyps, goal, **kwargs):
+def decide_visited(monkeypatch, hyps, goal):
     """decide, and the branch counter of the search it ran."""
     searches = []
 
@@ -175,7 +185,7 @@ def decide_visited(monkeypatch, hyps, goal, **kwargs):
             searches.append(self)
 
     monkeypatch.setattr(prover, "_Search", Recording)
-    decision = decide(hyps, goal, **kwargs)
+    decision = decide(hyps, goal)
     [search] = searches
     return decision, search.visited
 
@@ -183,8 +193,9 @@ def decide_visited(monkeypatch, hyps, goal, **kwargs):
 @pytest.mark.parametrize("cap", [1 << 16, 2_000])
 @pytest.mark.parametrize("index", [0, 1])
 def test_decide_pinned_visited_counts(monkeypatch, index, cap):
+    monkeypatch.setattr(prover, "BRANCH_CAP", cap)
     hyps, goal = PINNED[index]
-    _, visited = decide_visited(monkeypatch, tuple(p(h) for h in hyps), p(goal), cap=cap)
+    _, visited = decide_visited(monkeypatch, tuple(p(h) for h in hyps), p(goal))
     assert visited == PINNED_VISITED[index]
 
 
@@ -213,8 +224,8 @@ def test_feasible_joins_components_through_a_later_row():
         ((("b", -1),), 0),
     ]
     assignment = {("lin", coeffs, bound): True for coeffs, bound in rows}
-    search = prover._Search(None, 1 << 16)
-    assert prover._feasible(assignment, search) == (False, None)
+    search = prover._Search(None)
+    assert fourier_motzkin(assignment, search) == (False, None)
     assert search.visited == 2  # a, then b gives the false row
 
 
@@ -246,15 +257,15 @@ def satisfies(assignment, sample):
 def test_feasible_on_disjoint_systems_combines_the_parts(left, right):
     parts = []
     for assignment in (left, right):
-        search = prover._Search(None, 1 << 16)
-        feasible, sample = prover._feasible(assignment, search)
+        search = prover._Search(None)
+        feasible, sample = fourier_motzkin(assignment, search)
         assert sample is None or satisfies(assignment, sample)
         names = sorted({name for _, coeffs, _ in assignment for name, _ in coeffs})
         # the variable whose elimination gave a false row
         stop = None if feasible else names[search.visited - 1]
         parts.append((feasible, sample, names, stop))
-    search = prover._Search(None, 1 << 16)
-    feasible, sample = prover._feasible({**left, **right}, search)
+    search = prover._Search(None)
+    feasible, sample = fourier_motzkin({**left, **right}, search)
     assert feasible == (parts[0][0] and parts[1][0])
     assert sample is None or satisfies({**left, **right}, sample)
     names = sorted(parts[0][2] + parts[1][2])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from conftest import FIXTURES
 from ebhint.formula import Truth
-from ebhint.model import Hypothesis, Origin, ProofObligation, Sequent
+from ebhint.model import Hypothesis, ProofObligation, Sequent
 from ebhint.parser import load_model, parse_predicate
 from ebhint.pog import generate
 from ebhint.smtlib import export_smt
@@ -21,7 +21,7 @@ def mk_po(hyp_texts, goal, selected=True):
         for i, t in enumerate(hyp_texts)
     )
     goal_pred = parse_predicate(goal) if isinstance(goal, str) else goal
-    return ProofObligation("t/PO", "INV", Sequent(hyps, goal_pred), Origin("t"))
+    return ProofObligation("t/PO", "INV", Sequent(hyps, goal_pred))
 
 
 def asserts_of(script: str) -> list[str]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from conftest import FIXTURE_FILES, FIXTURES
 from ebhint.model import Context, Machine, Model
 from ebhint.parser import load_model, parse_source
-from ebhint.wellformed import wellformed
+from ebhint.wellformed import check_new_events, wellformed
 
 
 def check(source: str) -> list:
@@ -205,6 +206,44 @@ def test_merge_mismatch():
     )
     diags = wellformed(_refinement_model(concrete, abstract))
     assert any(d.code == "merge-mismatch" for d in diags)
+
+
+def test_check_new_events_rejects_abstract_assignment():
+    abstract = (
+        "machine a\nvariables x\ninvariants\n  ia1: x in INT\nevents\n"
+        "  event step\n  then\n    a1: x := x + 1\n  end\nend\n"
+    )
+    concrete = (
+        "machine c refines a\nvariables x y\ninvariants\n  ic1: y in INT\nevents\n"
+        "  event step refines step\n  then\n    a1: x := x + 1\n  end\n"
+        "  event fresh\n  then\n    a1: x := 0\n  end\nend\n"
+    )
+    model = Model(machine=parse_source(concrete), abstract=Model(machine=parse_source(abstract)))
+    diags = check_new_events(model)
+    assert any(d.code == "new-event-assigns-abstract" for d in diags)
+
+
+def test_check_new_events_checks_every_level_in_order():
+    bottom = Model(parse_source("machine c\nvariables x y\nevents\nend\n"))
+    middle = Model(
+        replace(
+            parse_source(
+                "machine a refines c\nvariables x y\nevents\n"
+                "  event bump\n  then\n    a1: y := 1\n    a2: x := 2\n  end\nend\n"
+            ),
+            path="a.ebh",
+        ),
+        abstract=bottom,
+    )
+    top = Model(
+        parse_source("machine b refines a\nvariables x y\nevents\n  event e\n  then\n    a1: x := 0\n  end\nend\n"),
+        abstract=middle,
+    )
+    assert [d.render() for d in check_new_events(top)] == [
+        "<model>:4:3: new-event-assigns-abstract: new event 'e' assigns abstract variable 'x'",
+        "a.ebh:4:3: new-event-assigns-abstract: new event 'bump' assigns abstract variable 'y'",
+        "a.ebh:4:3: new-event-assigns-abstract: new event 'bump' assigns abstract variable 'x'",
+    ]
 
 
 def test_diagnostics_independent_of_declaration_order():
