@@ -88,13 +88,20 @@ def main() -> None:
 @main.command()
 @click.argument("files", nargs=-1, required=True, type=click.Path())
 def check(files: tuple[str, ...]) -> None:
-    """Parse FILES and report well-formedness problems."""
+    """Parse FILES and report well-formedness problems.
+
+    A file that another one refines is checked with it, so each problem
+    is printed once, under the first spelling of its file's path."""
     failed = False
+    printed: set[tuple] = set()
     for path in files:
         _, diags = _load(path)
-        if diags:
-            failed = True
-            _report_diagnostics(diags)
+        failed = failed or bool(diags)
+        for d in diags:
+            key = (d.path and Path(d.path).resolve(), d.loc, d.code, d.message)
+            if key not in printed:
+                printed.add(key)
+                click.echo(d.render())
     raise SystemExit(1 if failed else 0)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
@@ -251,15 +252,9 @@ def _rebuild(f: Formula, new: tuple[Formula, ...]) -> Formula:
     raise AssertionError(f"cannot rebuild {type(f).__name__}")
 
 
-_FRESH_LIMIT = 10_000
-
-
-def _fresh(base: Ident, taken: frozenset[str]) -> Ident:
-    for i in range(1, _FRESH_LIMIT):
-        cand = Ident(f"{base.name}{i}", base.primed)
-        if cand.key not in taken:
-            return cand
-    raise RuntimeError("fresh identifier space exhausted")
+def numbered(base: str) -> Iterator[str]:
+    """``base1``, ``base2``, ...: the spellings a fresh name is taken from."""
+    return (f"{base}{i}" for i in count(1))
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
@@ -283,7 +278,7 @@ def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
         for i, b in enumerate(binders):
             if b.key in incoming:
                 taken = incoming | free_identifiers(body) | frozenset(x.key for x in binders) | frozenset(live)
-                nb = _fresh(b, taken)
+                nb = next(c for c in (Ident(n, b.primed) for n in numbered(b.name)) if c.key not in taken)
                 body = substitute(body, {b.key: nb})
                 binders[i] = nb
         return Quantifier(f.kind, tuple(binders), substitute(body, live), loc=f.loc)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import Iterator
 
-from .formula import Formula, Ident, Loc, Predicate
+from .formula import Formula, Ident, Loc, Predicate, numbered
 
 INITIALISATION = "INITIALISATION"
 
@@ -222,7 +222,7 @@ class Sequent:
         """The first of ``base1``, ``base2``, ... (with ``primed``:
         ``base``, ``base'``, ``base''``, ...) that no hypothesis uses."""
         taken = set(self.labels())
-        spellings = (base + ("'" * n if primed else str(n + 1)) for n in count())
+        spellings = (base + "'" * n for n in count()) if primed else numbered(base)
         return next(label for label in spellings if label not in taken)
 
 

@@ -11,19 +11,20 @@ declared carrier sets stay opaque), and the result is put in negation
 normal form over linear atoms, long chains as balanced trees.  A lazy
 DPLL(T) search then looks for a propositional model: before branching
 it assigns every literal on the top-level conjunction spine (unit
-propagation), and each partial assignment that gained a linear literal
-is checked with Fourier-Motzkin elimination over the integers, so an
-arithmetically inconsistent one is pruned with its whole subtree.
+propagation), and each node that assigned a linear literal is checked
+with Fourier-Motzkin elimination over the integers, so an
+arithmetically inconsistent node is pruned with its whole subtree.
 Every Fourier-Motzkin row keeps integer coefficients, divided by their
 gcd with the bound rounded down, and of rows with equal coefficients
 only the tightest is kept.  The rows are split into variable-disjoint
-components, eliminated one by one; a node inherits the components of
-the last check on its path and rebuilds only those its new literals
-join.  Literal rows, component results and hypothesis NNFs are kept in
-a `Memo`, which one `prove` run shares across its obligations.  The
-procedure is sound but incomplete: PROVED is trustworthy, UNPROVED may
-just mean "too hard", and counterexamples are only reported when they
-check out against the selected hypotheses.
+components, eliminated one by one.  A search node carries its own
+state: its simplified tree, its theory state and the literals assigned
+at it.  It inherits the components of the last check on its path and
+rebuilds only those its new literals join.  Component results and
+hypothesis NNFs are kept in a `Memo`, which one `prove` run shares
+across its obligations.  The procedure is sound but incomplete: PROVED
+is trustworthy, UNPROVED may just mean "too hard", and counterexamples
+are only reported when they check out against the selected hypotheses.
 """
 
 from __future__ import annotations
@@ -256,14 +257,14 @@ def _membership(f: Membership, positive: bool):
 
 
 class Memo:
-    """Theory results shared by the `decide` calls of one `prove` run:
-    the row of each (linear literal, polarity), the `_eliminate` result
-    of each component keyed by its frozen row set, and the NNF of each
-    hypothesis.  Every entry is a pure function of its key, so verdicts
-    and branch counts do not depend on what the memo holds."""
+    """Results shared by the `decide` calls of one `prove` run: the
+    `_eliminate` result of each component keyed by its frozen row set,
+    and the NNF of each hypothesis.  A search node carries its own
+    literals and theory state, so nothing here belongs to one node.
+    Every entry is a pure function of its key, so verdicts and branch
+    counts do not depend on what the memo holds."""
 
     def __init__(self) -> None:
-        self.rows: dict = {}
         self.components: dict = {}
         self.nnf: dict = {}
 
@@ -290,18 +291,18 @@ class _Search:
             raise _Stop(UNPROVED, "timeout")
 
 
-def _simplify(tree, assignment: dict):
+def _simplify(tree, values: dict):
     head = tree[0]
     if head in ("true", "false"):
         return tree
     if head == "lit":
         _, key, polarity = tree
-        value = assignment.get(key)
+        value = values.get(key)
         if value is None:
             return tree
         return ("true",) if value == polarity else ("false",)
-    left = _simplify(tree[1], assignment)
-    right = _simplify(tree[2], assignment)
+    left = _simplify(tree[1], values)
+    right = _simplify(tree[2], values)
     if head == "and":
         if left == ("false",) or right == ("false",):
             return ("false",)
@@ -320,12 +321,11 @@ def _simplify(tree, assignment: dict):
 
 
 def _first_literal(tree):
-    if tree[0] == "lit":
-        return tree[1]
-    if tree[0] in ("and", "or"):
-        found = _first_literal(tree[1])
-        return found if found is not None else _first_literal(tree[2])
-    return None
+    """The leftmost literal of a simplified tree that is not a constant:
+    such a tree holds no constant below its root."""
+    while tree[0] != "lit":
+        tree = tree[1]
+    return tree[1]
 
 
 def _units(tree, out: list) -> list:
@@ -339,31 +339,28 @@ def _units(tree, out: list) -> list:
     return out
 
 
-def _propagate(tree, assignment: dict, search: _Search, theory: _Theory, new: list, trail: list):
-    """One search node: assign the unit literals (onto ``trail``), and
-    check a model or a partial assignment that gained linear literals
-    (``new``, since ``theory`` was checked) for arithmetic consistency.
-    Returns the simplified tree and theory state, or None if dead."""
+def _propagate(tree, values: dict, search: _Search, theory: _Theory):
+    """One search node: the parent's simplified tree and theory state,
+    and ``values``, the literals assigned at this node (its branch
+    literal, or nothing at the root).  Adds the unit literals to
+    ``values`` and checks a model, or a node that assigned linear
+    literals, for arithmetic consistency.  Returns the node's simplified
+    tree and theory state, or None if it is dead."""
     search.tick()
-    tree = _simplify(tree, assignment)
+    tree = _simplify(tree, values)
     while tree[0] not in ("true", "false"):
-        units = _units(tree, [])
+        units: dict = {}
+        for key, polarity in _units(tree, []):
+            if units.setdefault(key, polarity) != polarity:
+                return None
         if not units:
             break
-        for key, polarity in units:
-            value = assignment.get(key)
-            if value is None:
-                assignment[key] = polarity
-                trail.append(key)
-                if key[0] == "lin":
-                    new.append(key)
-            elif value != polarity:
-                return None
-        tree = _simplify(tree, assignment)
+        values.update(units)
+        tree = _simplify(tree, units)
     if tree == ("false",):
         return None
-    if new or tree == ("true",):
-        theory = _extend(theory, new, assignment, search)
+    if tree == ("true",) or any(key[0] == "lin" for key in values):
+        theory = _extend(theory, values, search)
         if theory is None:
             return None
     return tree, theory
@@ -371,35 +368,26 @@ def _propagate(tree, assignment: dict, search: _Search, theory: _Theory, new: li
 
 def _solve(tree, search: _Search):
     """Depth-first search for a model of the tree, branching on the first
-    literal, True first; the open nodes are kept on a list, as a path
-    can be thousands of branches long.  Returns the theory state of the
-    first model found, or None when there is none."""
-    assignment: dict = {}
-    frames: list = []  # the open nodes' tree, theory state, trail and branch literal
-    trail: list = []
-    node = _propagate(tree, assignment, search, _EMPTY, [], trail)
+    literal, True first.  Each open node whose False branch is still
+    untried is kept on a list, as a path can be thousands of branches
+    long.  Returns the theory state of the first model found, or None
+    when there is none."""
+    frames: list = []  # (tree, theory state, branch literal)
+    node = _propagate(tree, {}, search, _EMPTY)
     while True:
         if node is None:
-            # undo the dead node, then every open node that tried both values
-            for key in trail:
-                del assignment[key]
-            while frames and not assignment[frames[-1][3]]:
-                _, _, trail, key = frames.pop()
-                for key in (key, *trail):
-                    del assignment[key]
             if not frames:
                 return None
-            tree, theory, _, key = frames[-1]
-            assignment[key] = False
+            tree, theory, key = frames.pop()
+            value = False
         else:
             tree, theory = node
             if tree == ("true",):
                 return theory
             key = _first_literal(tree)
-            frames.append((tree, theory, trail, key))
-            assignment[key] = True
-        trail = []
-        node = _propagate(tree, assignment, search, theory, [key] if key[0] == "lin" else [], trail)
+            frames.append((tree, theory, key))
+            value = True
+        node = _propagate(tree, {key: value}, search, theory)
 
 
 # --- Fourier-Motzkin ----------------------------------------------------------
@@ -415,7 +403,7 @@ def _tighten(coeffs: dict[str, int], bound: int) -> _Row | None:
     return tuple(sorted((k, v // g) for k, v in coeffs.items())), bound // g
 
 
-# The theory state of a feasible partial assignment: a union-find over
+# The theory state of a feasible search node: a union-find over
 # the variable names of its linear rows, and for each root the rows of
 # that variable-disjoint component (coefficients -> tightest bound) with
 # their `_eliminate` result.  A state is never changed once built.
@@ -423,25 +411,23 @@ _Theory = tuple[dict[str, str], dict[str, tuple[dict, tuple]]]
 _EMPTY: _Theory = ({}, {})
 
 
-def _extend(theory: _Theory, keys: list, assignment: dict, search: _Search) -> _Theory | None:
-    """The state with the rows of the linear literals ``keys`` added, or
-    None when they make it infeasible.  Only the components the new rows
-    join are rebuilt and looked up in the memo.  Ticks once per variable
-    in sorted order up to the first that gives a false row, as one
-    elimination over all of them would."""
+def _extend(theory: _Theory, values: dict, search: _Search) -> _Theory | None:
+    """The state with the rows of the linear literals in ``values``
+    added, or None when they make it infeasible.  Only the components
+    the new rows join are rebuilt and looked up in the memo.  Ticks once
+    per variable in sorted order up to the first that gives a false row,
+    as one elimination over all of them would."""
     memo = search.memo
     parent, parts = dict(theory[0]), dict(theory[1])
     changed: dict[str, dict] = {}
-    for key in keys:
-        value = assignment[key]
-        row = memo.rows.get((key, value))
-        if row is None:
-            # `_atom` tightened the key; its negation stays tightened
-            search.check_deadline()
-            _, coeffs, bound = key
-            row = (coeffs, bound) if value else (tuple((k, -v) for k, v in coeffs), -bound - 1)
-            memo.rows[key, value] = row
-        coeffs, bound = row
+    for key, value in values.items():
+        if key[0] != "lin":
+            continue
+        search.check_deadline()
+        # `_atom` tightened the key; its negation stays tightened
+        _, coeffs, bound = key
+        if not value:
+            coeffs, bound = tuple((k, -v) for k, v in coeffs), -bound - 1
         # the roots (union-find with path halving) of the row's variables
         roots: list[str] = []
         for name, _ in coeffs:
@@ -608,23 +594,22 @@ def one_point(goal: Predicate) -> Predicate | None:
         return None
     binders = list(goal.binders)
     conjuncts = _flatten_and(goal.body)
-    progress = False
-    changed = True
-    while changed:
-        changed = False
-        for b in list(binders):
-            for i, c in enumerate(conjuncts):
-                term = _solved_by_equation(c, b.key)
-                if term is None:
-                    continue
-                rest = conjuncts[:i] + conjuncts[i + 1 :]
-                conjuncts = [substitute(p, {b.key: term}) for p in rest]
-                binders.remove(b)
-                progress = changed = True
-                break
-            if changed:
-                break
-    if not progress:
+    # each pass eliminates the first binder, in binder order, that a
+    # conjunct pins, by the first such conjunct
+    while pinned := next(
+        (
+            (b, i, term)
+            for b in binders
+            for i, c in enumerate(conjuncts)
+            if (term := _solved_by_equation(c, b.key)) is not None
+        ),
+        None,
+    ):
+        b, i, term = pinned
+        rest = conjuncts[:i] + conjuncts[i + 1 :]
+        conjuncts = [substitute(p, {b.key: term}) for p in rest]
+        binders.remove(b)
+    if len(binders) == len(goal.binders):
         return None
     body = conjunction(tuple(conjuncts))
     if binders:

@@ -109,6 +109,13 @@ def test_check_names_the_file_that_holds_the_position(tmp_path):
         f"{a.resolve()}:5:3: duplicate-label: duplicate label 'i1'",
         f"{b}:5:3: duplicate-label: duplicate label 'j1'",
     ]
+    # checked on its own and again as b's abstraction, a's problem is printed once
+    result = run_cli("check", str(a), str(b))
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"{a}:5:3: duplicate-label: duplicate label 'i1'",
+        f"{b}:5:3: duplicate-label: duplicate label 'j1'",
+    ]
 
 
 def test_check_new_events_at_every_refinement_level(tmp_path):

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used there.
+"""Every name a module of the package imports, and every private name
+it defines, is used there.
 
-No linter runs with the tests, and an import left behind by a deleted
-code path is easy to miss in review.
+No linter runs with the tests, and an import or a helper left behind by
+a deleted code path is easy to miss in review.
 """
 
 from __future__ import annotations
@@ -36,3 +37,24 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = imported - used - _exported(tree) - REEXPORTS.get(path.name, set())
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The module-level functions, classes and constants named with one
+    leading underscore."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unused = _private_definitions(tree) - loaded
+    assert not unused, f"{path.name} defines but never uses {sorted(unused)}"

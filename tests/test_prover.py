@@ -110,11 +110,33 @@ def test_decide_past_deadline_times_out():
     assert d.reason == "timeout"
 
 
+# An equivalence, negated or not, and unary minus, each with the
+# counterexample decide reports (None when it proves the sequent).
+ORACLE_CASES = [
+    (("x = 1 <=> y = 1", "y = 1"), "x = 1", None),
+    (("not (x = 1 <=> y = 2)",), "x = 1", {"x": 0, "y": 2}),
+    (("-x >= 3",), "x <= -3", None),
+    (("-x <= 2",), "x >= 0", {"x": -1}),
+]
+
+
+@pytest.mark.parametrize("hyps, goal, counterexample", ORACLE_CASES)
+def test_decide_equivalence_and_unary_minus_against_oracle(hyps, goal, counterexample):
+    hyps, goal = tuple(p(h) for h in hyps), p(goal)
+    d = decide(hyps, goal)
+    if counterexample is None:
+        assert d.status == PROVED
+        assert grid_counterexample(hyps, goal) is None
+    else:
+        assert (d.status, dict(d.counterexample)) == (UNPROVED, counterexample)
+        assert holds_at(hyps, goal, counterexample)
+
+
 def fourier_motzkin(assignment, search):
     """The theory state of an assignment's linear literals, built from
     the empty one: feasibility and the integer sample (None when not
     integral)."""
-    theory = prover._extend(prover._EMPTY, [key for key in assignment if key[0] == "lin"], assignment, search)
+    theory = prover._extend(prover._EMPTY, assignment, search)
     return (False, None) if theory is None else (True, prover._sample(theory))
 
 

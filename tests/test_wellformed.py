@@ -314,6 +314,12 @@ DIAGNOSTICS = [
     ("type-error", _machine("", "  i1: x + {1} = 0\n"), {}, [
         "<model>:4:11: type-error: set-typed expression is only allowed on the right of 'in' (arithmetic operand)",
     ]),
+    ("type-error not operand", _machine("", "  i1: not (x + 1)\n"), {}, [
+        "<model>:4:14: type-error: operand of 'not' must be boolean, found integer",
+    ]),
+    ("type-error minus operand", _machine("", "  i1: -(x = 1) = 0\n"), {}, [
+        "<model>:4:11: type-error: arithmetic operand must be integer, found boolean",
+    ]),
     ("nonlinear-multiplication", _machine("", "  i1: x * y = 0\n"), {}, [
         '<model>:4:9: nonlinear-multiplication: multiplication needs an integer literal operand',
     ]),
