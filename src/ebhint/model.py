@@ -1,8 +1,8 @@
 """Model types: contexts, machines, events, hints, sequents, obligations.
 
 Everything is a frozen dataclass holding tuples, so models are safe to
-share and compare structurally.  Source locations, and the file a
-loaded machine or context came from, never take part in equality.
+share and compare structurally.  Source locations, of declared names too, and
+the file a loaded machine or context came from never take part in equality.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ class Event:
     actions: tuple[Assignment, ...] = ()
     hints: tuple[Hint, ...] = ()
     loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
+    parameter_locs: tuple[Loc, ...] = field(default=(), kw_only=True, compare=False, repr=False)
 
     @property
     def is_initialisation(self) -> bool:
@@ -108,6 +109,7 @@ class Machine:
     initialisation: Event | None = None
     loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
     path: str | None = field(default=None, kw_only=True, compare=False, repr=False)
+    variable_locs: tuple[Loc, ...] = field(default=(), kw_only=True, compare=False, repr=False)
 
     def event(self, name: str) -> Event | None:
         for e in self.events:
@@ -131,6 +133,8 @@ class Context:
     theorems: tuple[LabeledPredicate, ...] = ()
     loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
     path: str | None = field(default=None, kw_only=True, compare=False, repr=False)
+    set_locs: tuple[Loc, ...] = field(default=(), kw_only=True, compare=False, repr=False)
+    constant_locs: tuple[Loc, ...] = field(default=(), kw_only=True, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

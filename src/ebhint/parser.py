@@ -6,12 +6,12 @@ as aliases.  ``//`` starts a line comment.  One context or machine per
 file; ``sees``, ``refines``, and ``extends`` references are resolved by
 file name in the directory of the referring file.
 
-A token's kind is ``ident``, ``pident`` (primed; the text drops the
-prime), ``int`` (decimal digits), ``eof``, or, for a keyword or symbol,
-its ASCII spelling, so the parser tests every token by kind alone.
+Each token is one match of one pattern.  Its kind is ``ident``, ``pident``
+(primed; the text drops the prime), ``int`` (decimal digits), ``eof``, or,
+for a keyword or symbol, its ASCII spelling: the parser reads kinds alone.
 
-Operator precedence, loosest first (the code reads the binary levels
-from the table `formula.BINARY`):
+Operator precedence, loosest first; binary operators are parsed by
+precedence climbing over the table `formula.BINARY`:
 
     <=>   (right associative)
     =>    (right associative)
@@ -29,8 +29,9 @@ quantifier when it is an operand.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, TypeVar
 
@@ -81,14 +82,23 @@ KEYWORDS = frozenset(
        true false not or in exists forall NAT INT""".split()
 )
 
-_SYMBOLS = ("<=>", ":=", "::", ":|", "<=", ">=", "/=", "=>",
-            "=", "<", ">", "&", "(", ")", "{", "}", ",", ".", "+", "-", "*", ":")
+# A word's token kind when it is a keyword; ℕ and ℤ are words too.
+_WORD_KINDS = {**{k: k for k in KEYWORDS}, "ℕ": "NAT", "ℤ": "INT"}
 
-# Unicode aliases, each one character long.
-_UNI_SYMBOL = {"≤": "<=", "≥": ">=", "≠": "/=", "⇒": "=>", "⇔": "<=>",
-               "≔": ":=", "∧": "&", "·": ".", "−": "-"}
-_UNI_KEYWORD = {"∨": "or", "¬": "not", "∈": "in", "ℕ": "NAT", "ℤ": "INT",
-                "∃": "exists", "∀": "forall"}
+# The other Unicode aliases, by ASCII spelling.
+_ALIASES = {"≤": "<=", "≥": ">=", "≠": "/=", "⇒": "=>", "⇔": "<=>", "≔": ":=", "∧": "&", "·": ".",
+            "−": "-", ":∈": "::", "∨": "or", "¬": "not", "∈": "in", "∃": "exists", "∀": "forall"}
+
+# One token of a line with its comment cut off, after any blanks; the group
+# that matched names the kind.  ``\d`` is `str.isdecimal`, ``\w`` `str.isalnum`
+# or ``_``.  Most words start with an ASCII letter or ``_`` and have no prime;
+# any other, such as ``x'``, ``é`` or ``²`` (not a letter), is an _OTHER_WORD.
+_WORD, _INT, _SYMBOL, _OTHER_WORD, _OTHER = 1, 2, 3, 4, 5
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:([A-Za-z_]\w*)(?![\w'])|(\d+)"
+    r"|(<=>|:=|::|:\||<=|>=|/=|=>|[=<>&(){},.+\-*]|:(?!∈))"
+    r"|([^\W\d]\w*'*)|(:∈|[^ \t\r]))"
+)
 
 # How deep a formula may nest, in parser levels (brackets, quantifier
 # bodies, prefix and right-associative operators) and in tree levels:
@@ -118,96 +128,60 @@ def _err(message: str, loc: Loc, path: str, code: str = "syntax") -> ParseError:
 # every node, and most positions recur across the texts one process
 # parses.
 _loc = lru_cache(maxsize=1 << 16)(Loc)
+# Token(kind, text, loc) without a Python-level call
+_token = partial(tuple.__new__, Token)
 
 
 def lex(text: str, path: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def loc() -> Loc:
-        return _loc(line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdecimal():
-            start = i
-            here = loc()
-            while i < n and text[i].isdecimal():
-                i += 1
-            tokens.append(Token("int", text[start:i], here))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            here = loc()
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            col += i - start
-            # ℕ and ℤ are alphabetic, so they arrive here rather than
-            # in the single-character branches below.
-            word = _UNI_KEYWORD.get(word, word)
-            if word in KEYWORDS:
-                tokens.append(Token(word, word, here))
-            elif i < n and text[i] == "'":
-                i += 1
-                col += 1
-                if i < n and text[i] == "'":
-                    raise _err(f"doubly primed identifier {word!r}", here, path)
-                tokens.append(Token("pident", word, here))
-            else:
-                tokens.append(Token("ident", word, here))
-            continue
-        if ch in _UNI_KEYWORD:
-            word = _UNI_KEYWORD[ch]
-            tokens.append(Token(word, word, loc()))
-            i += 1
-            col += 1
-            continue
-        if ch in _UNI_SYMBOL:
-            sym = _UNI_SYMBOL[ch]
-            tokens.append(Token(sym, sym, loc()))
-            i += 1
-            col += 1
-            continue
-        if ch == ":" and i + 1 < n and text[i + 1] == "∈":
-            tokens.append(Token("::", "::", loc()))
-            i += 2
-            col += 2
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, loc()))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise _err(f"unexpected character {ch!r}", loc(), path)
-    tokens.append(Token("eof", "", _loc(line, col)))
+    append = tokens.append
+    finditer = _TOKEN.finditer
+    for lineno, line in enumerate(text.split("\n"), 1):
+        cut = line.find("//")
+        if cut >= 0:  # no token contains "//"
+            line = line[:cut]
+        for m in finditer(line):
+            group = m.lastindex
+            s = m[group]
+            here = _loc(lineno, m.start(group) + 1)
+            if group == _WORD:
+                kind = _WORD_KINDS.get(s)
+                append(_token(("ident", s, here) if kind is None else (kind, kind, here)))
+            elif group == _INT:
+                append(_token(("int", s, here)))
+            elif group == _SYMBOL:
+                append(_token((s, s, here)))
+            elif group == _OTHER:
+                sym = _ALIASES.get(s)
+                if sym is None:
+                    raise _err(f"unexpected character {s!r}", here, path)
+                append(_token((sym, sym, here)))
+            else:  # _OTHER_WORD
+                append(_token(_other_word(s, here, path)))
+    # comment text counts for no column: the end is where it starts
+    append(Token("eof", "", _loc(lineno, len(line) + 1)))
     return tokens
 
 
-# Each binary precedence level's operators by token text, as (node
-# class, groups to the right); ``or`` is a keyword, the rest symbols.
-_LEVELS: dict[int, dict[str, tuple[type, bool]]] = {
-    level: {op.spelling: (cls, op.right) for cls, op in BINARY.items() if op.level == level}
-    for level in {op.level for op in BINARY.values()}
-}
-_LOOSEST = min(_LEVELS)
+def _other_word(word: str, here: Loc, path: str) -> tuple[str, str, Loc]:
+    """The token of a primed or non-ASCII word, as (kind, text, loc)."""
+    if not word[0].isalpha() and word[0] != "_":
+        raise _err(f"unexpected character {word[0]!r}", here, path)
+    name = word.rstrip("'")
+    kind = _WORD_KINDS.get(name)
+    if kind is not None and name != word:  # a keyword, then a stray prime
+        raise _err("unexpected character \"'\"", Loc(here.line, here.column + len(name)), path)
+    if len(word) - len(name) > 1:
+        raise _err(f"doubly primed identifier {name!r}", here, path)
+    if kind is not None:
+        return kind, kind, here
+    return ("ident" if name == word else "pident"), name, here
+
+
+# The binary operators by token kind, as (node class, precedence level,
+# groups to the right); ``or`` is a keyword, the rest symbols.
+_BINARY = {op.spelling: (cls, op.level, op.right) for cls, op in BINARY.items()}
+_LOOSEST = min(op.level for op in BINARY.values())
 _RELATIONS = frozenset({*COMPARISONS, "in"})  # the kinds `_comparison` reads
 # the keywords that are a formula on their own
 _CONSTANTS = {"true": Truth, "false": Falsity, "NAT": NatSet, "INT": IntSet}
@@ -264,9 +238,10 @@ class Parser:
             out.append(self.advance())
         return out
 
-    def names(self, keyword: str, what: str) -> tuple[str, ...]:
-        """The identifier list after an optional section ``keyword``."""
-        return tuple(t.text for t in self.ident_list(what)) if self.take(keyword) else ()
+    def names(self, keyword: str, what: str) -> tuple[tuple[str, ...], tuple[Loc, ...]]:
+        """The identifier list after an optional section ``keyword``, and their positions."""
+        tokens = self.ident_list(what) if self.take(keyword) else []
+        return tuple(t.text for t in tokens), tuple(t.loc for t in tokens)
 
     def items(self, keyword: str, item: Callable[[], T], *starts: str) -> tuple[T, ...]:
         """After an optional section ``keyword``, every ``item`` that
@@ -304,44 +279,42 @@ class Parser:
 
     def _binary(self, level: int) -> Formula:
         """The operators of ``level`` in `formula.BINARY` and every
-        tighter level."""
-        ops = _LEVELS.get(level)
-        if ops is None:
-            return self._not() if level == NOT_LEVEL else self._unary()
-        left = self._binary(level + 1)
-        tok = self.peek()
-        op = ops.get(tok.text)
-        while op is not None:
-            cls, right = op
-            self.advance()
+        tighter level, by precedence climbing."""
+        left = self._not() if level <= NOT_LEVEL else self._unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            op = _BINARY.get(tok.kind)
+            if op is None or op[1] < level:
+                return left
+            cls, op_level, right = op
+            self.pos += 1
             if right:
-                return cls(left, self._nested(self._binary, level), loc=tok.loc)
-            left = cls(left, self._binary(level + 1), loc=tok.loc)
-            tok = self.peek()
-            op = ops.get(tok.text)
-        return left
+                left = cls(left, self._nested(self._binary, op_level), loc=tok.loc)
+            else:
+                left = cls(left, self._binary(op_level + 1), loc=tok.loc)
 
     def _not(self) -> Formula:
-        if self.at("not"):
+        if self.tokens[self.pos].kind == "not":
             loc = self.advance().loc
             return Not(self._nested(self._not), loc=loc)
         return self._comparison()
 
     def _comparison(self) -> Formula:
         left = self._binary(COMPARISON_LEVEL + 1)
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind not in _RELATIONS:
             return left
-        self.advance()
+        self.pos += 1
         right = self._binary(COMPARISON_LEVEL + 1)
-        if self.peek().kind in _RELATIONS:
+        if self.tokens[self.pos].kind in _RELATIONS:
             raise self.fail("comparisons are non-associative; add parentheses")
         if tok.kind == "in":
             return Membership(left, right, loc=tok.loc)
         return Comparison(tok.kind, left, right, loc=tok.loc)
 
     def _unary(self) -> Formula:
-        if self.at("-"):
+        if self.tokens[self.pos].kind == "-":
             loc = self.advance().loc
             literal = self.peek().kind == "int"
             operand = self._nested(self._unary)
@@ -353,16 +326,16 @@ class Parser:
         return self._primary()
 
     def _primary(self) -> Formula:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
+        if tok.kind == "ident":
+            self.pos += 1
+            return Ident(tok.text, loc=tok.loc)
         if tok.kind == "int":
-            self.advance()
+            self.pos += 1
             try:
                 return IntLiteral(int(tok.text), loc=tok.loc)
             except ValueError:  # longer than Python converts
                 raise _err(f"integer literal of {len(tok.text)} digits is too long", tok.loc, self.path) from None
-        if tok.kind == "ident":
-            self.advance()
-            return Ident(tok.text, loc=tok.loc)
         if tok.kind == "pident":
             self.advance()
             return Ident(tok.text, primed=True, loc=tok.loc)
@@ -419,8 +392,8 @@ class Parser:
             if name == INITIALISATION:
                 message = f"{INITIALISATION!r} is reserved for the initialisation event"
                 raise _err(message, name_tok.loc, self.path, "reserved-name")
-        refines = self.names("refines", "abstract event name")
-        parameters = self.names("any", "parameter")
+        refines, _ = self.names("refines", "abstract event name")
+        parameters, parameter_locs = self.names("any", "parameter")
         guards = self.items("where", self.labeled, "ident")
         guard_theorems = self.items("thm", self.labeled, "ident")
         witnesses = self.items("with", self.witness, "ident", "pident")
@@ -437,6 +410,7 @@ class Parser:
             actions=actions,
             hints=hints,
             loc=tok.loc,
+            parameter_locs=parameter_locs,
         )
 
     def action(self) -> Assignment:
@@ -479,7 +453,7 @@ class Parser:
         name = self.expect("ident", "machine name").text
         refines = self.expect("ident", "machine name").text if self.take("refines") else None
         sees = self.expect("ident", "context name").text if self.take("sees") else None
-        variables = self.names("variables", "variable")
+        variables, variable_locs = self.names("variables", "variable")
         invariants = self.items("invariants", self.labeled, "ident")
         theorems = self.items("theorems", self.labeled, "ident")
         events: list[Event] = []
@@ -504,14 +478,15 @@ class Parser:
             events=tuple(events),
             initialisation=initialisation,
             loc=loc,
+            variable_locs=variable_locs,
         )
 
     def context(self) -> Context:
         loc = self.expect("context").loc
         name = self.expect("ident", "context name").text
         extends = self.expect("ident", "context name").text if self.take("extends") else None
-        sets = self.names("sets", "carrier set name")
-        constants = self.names("constants", "constant name")
+        sets, set_locs = self.names("sets", "carrier set name")
+        constants, constant_locs = self.names("constants", "constant name")
         axioms = self.items("axioms", self.labeled, "ident")
         theorems = self.items("theorems", self.labeled, "ident")
         self.expect("end")
@@ -523,6 +498,8 @@ class Parser:
             axioms=axioms,
             theorems=theorems,
             loc=loc,
+            set_locs=set_locs,
+            constant_locs=constant_locs,
         )
 
     def component(self) -> Machine | Context:

@@ -16,6 +16,7 @@ variables alone.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostic, sort_key
@@ -190,9 +191,10 @@ def _context_env(checker: _Checker, contexts: tuple[Context, ...]) -> dict[str, 
 def _check_context(checker: _Checker, ctx: Context, inherited: tuple[Context, ...]) -> None:
     env = _context_env(checker, inherited + (ctx,))
     names_seen: set[str] = {name for c in inherited for name in c.sets + c.constants}
-    for name in ctx.sets + ctx.constants:
+    # a model built without the names' positions reports at its header
+    for name, loc in zip_longest(ctx.sets + ctx.constants, ctx.set_locs + ctx.constant_locs, fillvalue=ctx.loc):
         if name in names_seen:
-            checker.report("duplicate-identifier", f"duplicate declaration of {name!r}", ctx.loc)
+            checker.report("duplicate-identifier", f"duplicate declaration of {name!r}", loc)
         names_seen.add(name)
     labels: set[str] = {lp.label for c in inherited for lp in c.axioms + c.theorems}
     for lp in ctx.axioms + ctx.theorems:
@@ -237,11 +239,11 @@ def _check_event(
             checker.report("init-form", "the initialisation event cannot have guards", event.loc)
 
     seen_params: set[str] = set()
-    for p in event.parameters:
+    for p, loc in zip_longest(event.parameters, event.parameter_locs, fillvalue=event.loc):
         if p in seen_params:
-            checker.report("duplicate-parameter", f"duplicate parameter {p!r}", event.loc)
+            checker.report("duplicate-parameter", f"duplicate parameter {p!r}", loc)
         if p in own_vars or p in ctx_env:
-            checker.report("duplicate-identifier", f"parameter {p!r} shadows another identifier", event.loc)
+            checker.report("duplicate-identifier", f"parameter {p!r} shadows another identifier", loc)
         seen_params.add(p)
 
     guard_scope = _ints(ctx_env, own_vars + event.parameters)
@@ -414,11 +416,11 @@ def _check_machine(checker: _Checker, model: Model) -> None:
     ctx_env = _context_env(checker, model.contexts)
 
     seen_vars: set[str] = set()
-    for v in m.variables:
+    for v, loc in zip_longest(m.variables, m.variable_locs, fillvalue=m.loc):
         if v in seen_vars:
-            checker.report("duplicate-variable", f"duplicate variable {v!r}", m.loc)
+            checker.report("duplicate-variable", f"duplicate variable {v!r}", loc)
         if v in ctx_env:
-            checker.report("duplicate-identifier", f"variable {v!r} shadows a context identifier", m.loc)
+            checker.report("duplicate-identifier", f"variable {v!r} shadows a context identifier", loc)
         seen_vars.add(v)
 
     fact_labels = {lp.label for lp in model.context_axioms() + model.context_theorems()}

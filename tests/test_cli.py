@@ -7,6 +7,8 @@ import json
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_FILES, FIXTURES, run_cli, statuses_from
 from ebhint import cli, prover
@@ -475,6 +477,37 @@ def test_export_smt_pog_mode_child():
     )
     assert result.exit_code == 0
     assert "; case+" in result.output
+
+
+# --- the JSON writer ---------------------------------------------------------------
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+_json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'), st.characters()), max_size=12)
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-(2**80), 2**80),
+        st.floats(allow_nan=False, allow_infinity=False),
+        _json_text,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_json_text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli.to_json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_empty_and_nested_containers():
+    value = {"a": [], "b": {}, "c": [[], {}, [{}]], "": [None, True, False, 0, -1.5e-300, "\u00e9\ud83d"]}
+    assert cli.to_json(value) == json.dumps(value, indent=2)
 
 
 # --- interface basics -------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_FILES, FIXTURES
+from ebhint.formula import Loc
 from ebhint.model import Context, Machine, Model
 from ebhint.parser import load_model, parse_source
 from ebhint.wellformed import check_new_events, wellformed
@@ -330,20 +331,20 @@ DIAGNOSTICS = [
         "<model>:8:5: duplicate-label: label 'i1' in event 'e' collides with a visible fact",
     ]),
     ("duplicate-variable", _machine("", variables="x x"), {}, [
-        "<model>:1:1: duplicate-variable: duplicate variable 'x'",
+        "<model>:2:13: duplicate-variable: duplicate variable 'x'",
     ]),
     ("duplicate-event", _machine(_event("") + _event("")), {}, ["<model>:8:3: duplicate-event: duplicate event 'e'"]),
     ("duplicate-identifier context", "context c\nsets S\nconstants S\nend\n", {}, [
-        "<model>:1:1: duplicate-identifier: duplicate declaration of 'S'",
+        "<model>:3:11: duplicate-identifier: duplicate declaration of 'S'",
     ]),
     ("duplicate-identifier parameter", _machine(_event("  any x\n")), {}, [
-        "<model>:6:3: duplicate-identifier: parameter 'x' shadows another identifier",
+        "<model>:7:7: duplicate-identifier: parameter 'x' shadows another identifier",
     ]),
     ("duplicate-identifier variable", _machine("", variables="x k"), {"sees": CONTEXT_K}, [
-        "<model>:1:1: duplicate-identifier: variable 'k' shadows a context identifier",
+        "<model>:2:13: duplicate-identifier: variable 'k' shadows a context identifier",
     ]),
     ("duplicate-parameter", _machine(_event("  any p p\n")), {}, [
-        "<model>:6:3: duplicate-parameter: duplicate parameter 'p'",
+        "<model>:7:9: duplicate-parameter: duplicate parameter 'p'",
     ]),
     ("assignment-target", _machine(_event("  then\n    a1: z := 1\n")), {}, [
         "<model>:8:5: assignment-target: assignment target 'z' is not a variable",
@@ -451,6 +452,19 @@ DIAGNOSTICS = [
 @pytest.mark.parametrize("case, source, kwargs, rendered", DIAGNOSTICS, ids=[row[0] for row in DIAGNOSTICS])
 def test_diagnostic_rendered(case, source, kwargs, rendered):
     assert _render(source, **kwargs) == rendered
+
+
+def test_duplicate_names_of_a_built_model_point_at_its_header():
+    """A model built in code has no positions for its names."""
+    machine = Machine("m", variables=("x", "x"), loc=Loc(1, 1))
+    assert [d.render() for d in wellformed(Model(machine))] == [
+        "<model>:1:1: duplicate-variable: duplicate variable 'x'"
+    ]
+    # replace() keeps the parsed positions only where they still fit
+    parsed = parse_source("machine m\nvariables x y\nend\n")
+    assert [d.render() for d in wellformed(Model(replace(parsed, variables=("x", "y", "y"))))] == [
+        "<model>:1:1: duplicate-variable: duplicate variable 'y'"
+    ]
 
 
 def test_primed_binder_and_suchthat_target_are_in_scope():
