@@ -21,7 +21,7 @@ import click
 from . import __version__
 from .diagnostics import Diagnostic
 from .model import INITIALISATION, USE_HYPOTHESIS, Model, PoSet
-from .parser import load_model
+from .parser import Loader, load_model
 from .pog import apply_hints_pog, generate
 from .printer import print_formula
 from .prover import PROVED, UNPROVED, Memo, ProofResult, ProveOptions, prove_obligation
@@ -37,9 +37,9 @@ _HINT_MODE = click.option(
 )
 
 
-def _load(path: str) -> tuple[Model | None, list[Diagnostic]]:
+def _load(path: str, loader: Loader | None = None) -> tuple[Model | None, list[Diagnostic]]:
     try:
-        model, diags = load_model(path)
+        model, diags = load_model(path, loader)
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(2)
@@ -114,11 +114,13 @@ def check(files: tuple[str, ...]) -> None:
     """Parse FILES and report well-formedness problems.
 
     A file that another one refines is checked with it, so each problem
-    is printed once, under the first spelling of its file's path."""
+    is printed once, under the first spelling of its file's path.  Each
+    file is parsed once."""
     failed = False
     printed: set[tuple] = set()
+    loader = Loader()
     for path in files:
-        _, diags = _load(path)
+        _, diags = _load(path, loader)
         failed = failed or bool(diags)
         for d in diags:
             key = (d.path and Path(d.path).resolve(), d.loc, d.code, d.message)

@@ -553,27 +553,40 @@ def _read(path: Path) -> str:
         raise OSError(f"{path}: not a UTF-8 text file ({e.reason} at byte {e.start})") from e
 
 
-class _Loader:
-    """Resolves sees / refines / extends by file name, with cycle detection."""
+class Loader:
+    """Resolves sees / refines / extends by file name, with cycle
+    detection.  One loader can serve several `load_model` calls and
+    parses each file once across them."""
 
     def __init__(self):
+        self.parses: dict[Path, tuple[Machine | Context | None, list[Diagnostic]]] = {}
+        # the load in progress: its components by resolved path, and its diagnostics
         self.cache: dict[Path, Machine | Context | None] = {}
         self.diagnostics: list[Diagnostic] = []
+
+    def parse(self, path: Path, spelling: str) -> tuple[Machine | Context | None, list[Diagnostic]]:
+        """The file's component and parse diagnostics, carrying
+        ``spelling`` as their path; a file that cannot be read raises
+        ``OSError``."""
+        key = path.resolve()
+        if key not in self.parses:
+            self.parses[key] = try_parse(_read(path), spelling)
+        component, diags = self.parses[key]
+        if component is not None:
+            component = replace(component, path=spelling)
+        return component, [replace(d, path=spelling) for d in diags]
 
     def parse_file(self, path: Path) -> Machine | Context | None:
         path = path.resolve()
         if path in self.cache:
             return self.cache[path]
         try:
-            text = _read(path)
+            component, diags = self.parse(path, str(path))
         except OSError as e:
             self.diagnostics.append(_ref_diag("unresolved-reference", str(e), str(path)))
             self.cache[path] = None
             return None
-        component, diags = try_parse(text, str(path))
         self.diagnostics.extend(diags)
-        if component is not None:
-            component = replace(component, path=str(path))
         self.cache[path] = component
         return component
 
@@ -644,7 +657,7 @@ class _Loader:
         return Model(machine, tuple(contexts), abstract)
 
 
-def load_model(path: str | Path) -> tuple[Model | None, list[Diagnostic]]:
+def load_model(path: str | Path, loader: Loader | None = None) -> tuple[Model | None, list[Diagnostic]]:
     """Load a machine or context file together with everything it references.
 
     Each machine and context read from a file carries it in ``path``:
@@ -652,16 +665,15 @@ def load_model(path: str | Path) -> tuple[Model | None, list[Diagnostic]]:
     the files it references.  A context file is wrapped in a model whose machine
     is empty and named after the context, so checking and
     theorem-obligation generation work uniformly.  Problems in referenced files become diagnostics; an
-    unreadable or non-UTF-8 ``path`` itself raises ``OSError``.
+    unreadable or non-UTF-8 ``path`` itself raises ``OSError``.  Loads
+    that share a ``loader`` parse each file once.
     """
     p = Path(path)
-    text = _read(p)
-    component, diags = try_parse(text, str(p))
+    loader = Loader() if loader is None else loader
+    component, diags = loader.parse(p, str(p))
     if component is None:
         return None, diags
-    component = replace(component, path=str(p))
-    loader = _Loader()
-    loader.cache[p.resolve()] = component
+    loader.cache, loader.diagnostics = {p.resolve(): component}, []
     if isinstance(component, Context):
         chain: list[Context] = []
         if component.extends:

@@ -12,27 +12,30 @@ normal form over linear atoms, long chains as balanced trees.  A lazy
 DPLL(T) search then looks for a propositional model: before branching
 it assigns every literal on the top-level conjunction spine (unit
 propagation), and each node that assigned a linear literal is checked
-with Fourier-Motzkin elimination over the integers, so an
-arithmetically inconsistent node is pruned with its whole subtree.
-Every Fourier-Motzkin row keeps integer coefficients, divided by their
-gcd with the bound rounded down, and of rows with equal coefficients
-only the tightest is kept.  The rows are split into variable-disjoint
-components, eliminated one by one.  A search node carries its own
-state: its simplified tree, its theory state and the literals assigned
-at it.  It inherits the components of the last check on its path and
-rebuilds only those its new literals join.  Component results and
-hypothesis NNFs are kept in a `Memo`, which one `prove` run shares
-across its obligations.  The procedure is sound but incomplete: PROVED
+over the integers, so an arithmetically inconsistent node is pruned
+with its whole subtree.  A search node carries its own state: its
+simplified tree, its theory state, which extends its parent's, and the
+literals assigned at it.  Rows keep integer coefficients divided by
+their gcd, the bound rounded down.  While a path's rows are all bounds
+and unit differences, its theory state is a difference graph with
+integer potentials; the first row of another kind switches it to
+Fourier-Motzkin elimination over variable-disjoint components, of
+which a node rebuilds only those its new literals join.  A check ticks
+once per variable (Fourier-Motzkin stops at the stage that gives a
+false row), and a model's sample comes from Fourier-Motzkin
+back-substitution.  Component results and hypothesis NNFs are kept in
+a `Memo`, which one `prove` run shares across its obligations.  The procedure is sound but incomplete: PROVED
 is trustworthy, UNPROVED may just mean "too hard", and counterexamples
 are only reported when they check out against the selected hypotheses.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .formula import (
     And,
@@ -258,18 +261,19 @@ def _membership(f: Membership, positive: bool):
 
 class Memo:
     """Results shared by the `decide` calls of one `prove` run: the
-    `_eliminate` result of each component keyed by its frozen row set,
-    and the NNF of each hypothesis.  A search node carries its own
-    literals and theory state, so nothing here belongs to one node.
-    Every entry is a pure function of its key, so verdicts and branch
-    counts do not depend on what the memo holds."""
+    `_eliminate` result of each Fourier-Motzkin component keyed by its
+    frozen row set, and the NNF of each hypothesis.  A search node
+    carries its own literals and theory state, so nothing here belongs
+    to one node.  Every entry is a pure function of its key, so verdicts
+    and branch counts do not depend on what the memo holds."""
 
     def __init__(self) -> None:
         self.components: dict = {}
         self.nnf: dict = {}
 
 
-# Branches and Fourier-Motzkin stages one `decide` call may visit.
+# Branches and theory ticks one `decide` call may visit: a check ticks
+# once per variable, or up to the failing Fourier-Motzkin stage.
 BRANCH_CAP = 1 << 16
 
 
@@ -339,7 +343,7 @@ def _units(tree, out: list) -> list:
     return out
 
 
-def _propagate(tree, values: dict, search: _Search, theory: _Theory):
+def _propagate(tree, values: dict, search: _Search, theory: _Graph | _Theory):
     """One search node: the parent's simplified tree and theory state,
     and ``values``, the literals assigned at this node (its branch
     literal, or nothing at the root).  Adds the unit literals to
@@ -360,7 +364,7 @@ def _propagate(tree, values: dict, search: _Search, theory: _Theory):
     if tree == ("false",):
         return None
     if tree == ("true",) or any(key[0] == "lin" for key in values):
-        theory = _extend(theory, values, search)
+        theory = _check(theory, values, search)
         if theory is None:
             return None
     return tree, theory
@@ -373,7 +377,7 @@ def _solve(tree, search: _Search):
     long.  Returns the theory state of the first model found, or None
     when there is none."""
     frames: list = []  # (tree, theory state, branch literal)
-    node = _propagate(tree, {}, search, _EMPTY)
+    node = _propagate(tree, {}, search, _ROOT)
     while True:
         if node is None:
             if not frames:
@@ -390,7 +394,7 @@ def _solve(tree, search: _Search):
         node = _propagate(tree, {key: value}, search, theory)
 
 
-# --- Fourier-Motzkin ----------------------------------------------------------
+# --- theory check: difference graph and Fourier-Motzkin ----------------------
 
 def _tighten(coeffs: dict[str, int], bound: int) -> _Row | None:
     """Divide by the gcd of the coefficients and floor the bound; all
@@ -403,31 +407,141 @@ def _tighten(coeffs: dict[str, int], bound: int) -> _Row | None:
     return tuple(sorted((k, v // g) for k, v in coeffs.items())), bound // g
 
 
-# The theory state of a feasible search node: a union-find over
-# the variable names of its linear rows, and for each root the rows of
+def _rows(values: dict) -> list[_Row]:
+    """The rows of the linear literals in ``values``."""
+    rows = []
+    for key, value in values.items():
+        if key[0] == "lin":
+            # `_atom` tightened the key; its negation stays tightened
+            _, coeffs, bound = key
+            rows.append((coeffs, bound) if value else (tuple((k, -v) for k, v in coeffs), -bound - 1))
+    return rows
+
+
+_ZERO = ""  # the vertex of bounds: x <= c is x - zero <= c
+
+
+class _Graph(NamedTuple):
+    """The theory state of a path whose rows are all bounds and unit
+    differences (Cotton & Maler, SAT 2006): the row x_v - x_u <= w is
+    the edge u -> v of weight w in ``succ`` (u -> {v: w}, the tightest),
+    and the potentials ``pi`` satisfy pi[v] - pi[u] <= w on every edge.
+    A state is never changed once built; a node copies what it writes."""
+
+    pi: dict[str, int]
+    succ: dict[str, dict[str, int]]
+
+
+_ROOT = _Graph({}, {})
+
+
+def _edge(row: _Row) -> tuple[str, str, int] | None:
+    """The edge (u, v, w) of a bound or unit-difference row
+    x_v - x_u <= w, None for a row of any other kind.  A tightened row
+    of one variable is always a bound."""
+    coeffs, bound = row
+    if len(coeffs) == 1:
+        (name, a), = coeffs
+        return (_ZERO, name, bound) if a > 0 else (name, _ZERO, bound)
+    if len(coeffs) == 2 and coeffs[0][1] * coeffs[1][1] == -1:
+        (x, a), (y, _) = coeffs
+        return (y, x, bound) if a > 0 else (x, y, bound)
+    return None
+
+
+def _graph_rows(graph: _Graph) -> dict:
+    """The rows of a graph's edges (coefficients -> bound)."""
+    return {
+        tuple(sorted((name, a) for name, a in ((v, 1), (u, -1)) if name != _ZERO)): w
+        for u, out in graph.succ.items()
+        for v, w in out.items()
+    }
+
+
+def _check(theory: _Graph | _Theory, values: dict, search: _Search) -> _Graph | _Theory | None:
+    """The node's theory state: its parent's with the rows of the linear
+    literals in ``values`` added, or None when they make it infeasible.
+    A graph state becomes a Fourier-Motzkin one, built from its rows
+    and the new ones in one `_extend`, once a row of another kind
+    arrives."""
+    rows = _rows(values)
+    if isinstance(theory, _Graph):
+        edges = [_edge(row) for row in rows]
+        if None not in edges:
+            return _relax(theory, edges, search)
+        rows = list(_graph_rows(theory).items()) + rows
+        theory = _EMPTY
+    return _extend(theory, rows, search)
+
+
+def _relax(graph: _Graph, edges: list, search: _Search) -> _Graph | None:
+    """The graph with ``edges`` added, or None when one closes a
+    negative cycle.  An edge the potentials satisfy costs nothing more;
+    otherwise a Dijkstra pass on reduced costs from its head lowers the
+    potentials, and reaching its tail means a negative cycle.  Ticks once
+    per variable either way, as a graph has no stages."""
+    pi, succ = graph
+    new = {name for u, v, _ in edges for name in (u, v) if name not in pi}
+    if new:
+        pi = {**pi, **dict.fromkeys(new, 0)}
+    ticks = len(pi) - (_ZERO in pi)
+    owned: set[str] = set()  # the successor maps this node has copied
+    for u, v, w in edges:
+        out = succ.get(u)
+        if out is not None and out.get(v, w + 1) <= w:
+            continue
+        if u not in owned:
+            if not owned:
+                succ = dict(succ)
+            owned.add(u)
+            out = succ[u] = dict(out) if out else {}
+        out[v] = w
+        gap = pi[u] + w - pi[v]
+        if gap >= 0:
+            continue
+        search.check_deadline()
+        # each vertex reached drops by gap plus its reduced distance from
+        # v, while that stays negative
+        lowered: dict[str, int] = {}
+        drop = {v: gap}
+        heap = [(gap, v)]
+        while heap:
+            d, s = heapq.heappop(heap)
+            if s in lowered:
+                continue
+            lowered[s] = pi[s] + d
+            for t, wt in succ.get(s, {}).items():
+                dt = lowered[s] + wt - pi[t]
+                if t not in lowered and dt < drop.get(t, 0):
+                    if t == u:
+                        search.tick(ticks)
+                        return None
+                    drop[t] = dt
+                    heapq.heappush(heap, (dt, t))
+        pi = {**pi, **lowered}
+    search.tick(ticks)
+    return _Graph(pi, succ)
+
+
+# The Fourier-Motzkin state of a search node: a union-find over the
+# variable names of its linear rows, and for each root the rows of
 # that variable-disjoint component (coefficients -> tightest bound) with
 # their `_eliminate` result.  A state is never changed once built.
 _Theory = tuple[dict[str, str], dict[str, tuple[dict, tuple]]]
 _EMPTY: _Theory = ({}, {})
 
 
-def _extend(theory: _Theory, values: dict, search: _Search) -> _Theory | None:
-    """The state with the rows of the linear literals in ``values``
-    added, or None when they make it infeasible.  Only the components
-    the new rows join are rebuilt and looked up in the memo.  Ticks once
-    per variable in sorted order up to the first that gives a false row,
-    as one elimination over all of them would."""
+def _extend(theory: _Theory, rows: list[_Row], search: _Search) -> _Theory | None:
+    """The state with ``rows`` added, or None when they make it
+    infeasible.  Only the components the new rows join are rebuilt and
+    looked up in the memo.  Ticks once per variable in sorted order up
+    to the first that gives a false row, as one elimination over all of
+    them would."""
     memo = search.memo
     parent, parts = dict(theory[0]), dict(theory[1])
     changed: dict[str, dict] = {}
-    for key, value in values.items():
-        if key[0] != "lin":
-            continue
+    for coeffs, bound in rows:
         search.check_deadline()
-        # `_atom` tightened the key; its negation stays tightened
-        _, coeffs, bound = key
-        if not value:
-            coeffs, bound = tuple((k, -v) for k, v in coeffs), -bound - 1
         # the roots (union-find with path halving) of the row's variables
         roots: list[str] = []
         for name, _ in coeffs:
@@ -464,8 +578,12 @@ def _extend(theory: _Theory, values: dict, search: _Search) -> _Theory | None:
     return parent, parts
 
 
-def _sample(theory: _Theory) -> dict[str, int] | None:
-    """The integer sample of a feasible state, None when not integral."""
+def _sample(theory: _Graph | _Theory, search: _Search) -> dict[str, int] | None:
+    """The integer sample of a feasible state, None when not integral.
+    A graph's is found by one back-substitution over its rows, as
+    Fourier-Motzkin would find it, and is always integral."""
+    if isinstance(theory, _Graph):
+        return _eliminate(_graph_rows(theory), search)[1]
     samples = [sample for _, (_, sample) in theory[1].values()]
     if any(sample is None for sample in samples):
         return None
@@ -547,14 +665,15 @@ def decide(
                 trees.append(_nnf(h, True))
             else:
                 trees.append(memo.nnf.get(h) or memo.nnf.setdefault(h, _nnf(h, True)))
-        theory = _solve(balanced(lambda a, b: ("and", a, b), trees[::-1]), _Search(deadline, memo))
+        search = _Search(deadline, memo)
+        theory = _solve(balanced(lambda a, b: ("and", a, b), trees[::-1]), search)
+        if theory is None:
+            return Decision(PROVED, "no countermodel")
+        if any(named_sets(f) for f in hypotheses + (goal,)):
+            return Decision(UNPROVED, "countermodel constrains opaque set memberships")
+        sample = _sample(theory, search)
     except _Stop as stop:
         return Decision(stop.status, stop.reason)
-    if theory is None:
-        return Decision(PROVED, "no countermodel")
-    if any(named_sets(f) for f in hypotheses + (goal,)):
-        return Decision(UNPROVED, "countermodel constrains opaque set memberships")
-    sample = _sample(theory)
     if sample is None:
         return Decision(UNPROVED, "countermodel is not integral")
     names = sorted(set().union(*[free_identifiers(f) for f in hypotheses + (goal,)]))

@@ -5,13 +5,14 @@ from __future__ import annotations
 import gc
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_FILES, FIXTURES, run_cli, statuses_from
-from ebhint import cli, prover
+from ebhint import cli, parser, prover
 
 REPORT_KEYS = ["machine", "mode", "obligations", "summary"]
 OBLIGATION_KEYS = [
@@ -141,6 +142,28 @@ def test_check_multiple_files_aggregate(tmp_path):
     bad.write_text("machine bad\nvariables x\ninvariants\n  i1: y = 0\nevents\nend\n")
     assert run_cli("check", str(good), str(good)).exit_code == 0
     assert run_cli("check", str(good), str(bad)).exit_code == 1
+
+
+def test_check_parses_each_file_of_a_chain_once(monkeypatch, tmp_path):
+    (tmp_path / "ctx.ebh").write_text("context ctx\nconstants k\naxioms\n  ax1: k = 1\nend\n")
+    files = [tmp_path / "ctx.ebh"]
+    for level in range(5):
+        header = f"machine m{level} refines m{level - 1}" if level else "machine m0 sees ctx"
+        path = tmp_path / f"m{level}.ebh"
+        path.write_text(f"{header}\nvariables x\ninvariants\n  i{level}: x <= k\nevents\nend\n")
+        files.append(path)
+    parsed = []
+
+    def counting(text, path="<string>"):
+        parsed.append(path)
+        return try_parse(text, path)
+
+    try_parse = parser.try_parse
+    monkeypatch.setattr(parser, "try_parse", counting)
+    for order in (files, files[::-1]):
+        parsed.clear()
+        assert run_cli("check", *map(str, order)).exit_code == 0
+        assert sorted(Path(path).resolve() for path in parsed) == sorted(f.resolve() for f in files)
 
 
 # --- pos -----------------------------------------------------------------------

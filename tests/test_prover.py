@@ -133,11 +133,11 @@ def test_decide_equivalence_and_unary_minus_against_oracle(hyps, goal, counterex
 
 
 def fourier_motzkin(assignment, search):
-    """The theory state of an assignment's linear literals, built from
-    the empty one: feasibility and the integer sample (None when not
-    integral)."""
-    theory = prover._extend(prover._EMPTY, assignment, search)
-    return (False, None) if theory is None else (True, prover._sample(theory))
+    """The Fourier-Motzkin state of an assignment's linear literals,
+    built from the empty one: feasibility and the integer sample (None
+    when not integral)."""
+    theory = prover._extend(prover._EMPTY, prover._rows(assignment), search)
+    return (False, None) if theory is None else (True, prover._sample(theory, search))
 
 
 def test_fm_checks_deadline_per_row_pair_without_ticking():
@@ -300,6 +300,67 @@ def test_feasible_on_disjoint_systems_combines_the_parts(left, right):
             assert sample is None
         else:
             assert sample == {**left_sample, **right_sample}
+
+
+def _difference_system(names):
+    """Assignments of bound and unit-difference literals over the given
+    names."""
+    coeffs = st.one_of(
+        st.builds(lambda x, a: {x: a}, st.sampled_from(names), st.sampled_from((1, -1))),
+        st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True).map(lambda xy: {xy[0]: 1, xy[1]: -1}),
+    )
+    row = st.tuples(coeffs, st.integers(-6, 6), st.booleans())
+    return st.lists(row, max_size=10).map(
+        lambda rows: {prover._atom(c, bound)[1]: value for c, bound, value in rows}
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_difference_system(("a", "b", "c", "d", "e")), _linear_system(("a", "b", "c")))
+def test_difference_graph_agrees_with_fourier_motzkin(assignment, other):
+    search = prover._Search(None)
+    graph = prover._check(prover._ROOT, assignment, search)
+    fm_search = prover._Search(None)
+    feasible, sample = fourier_motzkin(assignment, fm_search)
+    assert (graph is not None) == feasible
+    if feasible:
+        assert isinstance(graph, prover._Graph)
+        assert search.visited == fm_search.visited  # one tick per variable
+        # the potentials, measured from the zero vertex, are a model
+        pi = graph.pi
+        assert satisfies(assignment, {name: v - pi.get(prover._ZERO, 0) for name, v in pi.items()})
+        assert prover._sample(graph, search) == sample
+        # one more row of another kind switches the state to Fourier-Motzkin
+        extra = {key: value for key, value in other.items() if prover._edge(prover._rows({key: value})[0]) is None}
+        if extra:
+            key, value = next(iter(extra.items()))
+            before = search.visited
+            switched = prover._check(graph, {key: value}, search)
+            fm_search = prover._Search(None)
+            feasible, sample = fourier_motzkin({**assignment, key: value}, fm_search)
+            assert (switched is not None) == feasible
+            assert search.visited - before == fm_search.visited  # the switch ticks once
+            if feasible:
+                assert not isinstance(switched, prover._Graph)
+                assert prover._sample(switched, search) == sample
+
+
+@pytest.mark.parametrize("only_selected, status, eliminations", [(False, PROVED, 0), (True, UNPROVED, 1)])
+def test_difference_rows_reach_fourier_motzkin_only_for_the_sample(monkeypatch, only_selected, status, eliminations):
+    # every row of this obligation is a bound or a unit difference; with
+    # its selected hypotheses only it has a countermodel
+    model, _ = load_model(FIXTURES / "case0.ebh")
+    sequent = generate(model).get("set/case0_1/INV").sequent
+    calls = []
+
+    def counting(rows, search):
+        calls.append(rows)
+        return eliminate(rows, search)
+
+    eliminate = prover._eliminate
+    monkeypatch.setattr(prover, "_eliminate", counting)
+    d = decide(tuple(h.predicate for h in sequent.hypotheses if h.selected or not only_selected), sequent.goal)
+    assert (d.status, len(calls)) == (status, eliminations)
 
 
 # --- long chains ---------------------------------------------------------------
