@@ -194,7 +194,7 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
     """Prove the obligations of FILE, honouring its hints."""
     poset = _obligations(file, hint_mode)
     options = ProveOptions(lasso=lasso, all_hyps=all_hyps, timeout_ms=timeout_ms)
-    memo = Memo()  # theory results shared by this command's obligations
+    memo = Memo()  # hypothesis NNFs shared by this command's obligations
     results: list[tuple[ProofResult, float]] = []
     for po in poset.obligations:
         start = time.perf_counter()

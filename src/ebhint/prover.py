@@ -18,15 +18,17 @@ simplified tree, its theory state, which extends its parent's, and the
 literals assigned at it.  Rows keep integer coefficients divided by
 their gcd, the bound rounded down.  While a path's rows are all bounds
 and unit differences, its theory state is a difference graph with
-integer potentials; the first row of another kind switches it to
-Fourier-Motzkin elimination over variable-disjoint components, of
-which a node rebuilds only those its new literals join.  A check ticks
-once per variable (Fourier-Motzkin stops at the stage that gives a
-false row), and a model's sample comes from Fourier-Motzkin
-back-substitution.  Component results and hypothesis NNFs are kept in
-a `Memo`, which one `prove` run shares across its obligations.  The procedure is sound but incomplete: PROVED
-is trustworthy, UNPROVED may just mean "too hard", and counterexamples
-are only reported when they check out against the selected hypotheses.
+integer potentials; the first row of another kind switches it to a
+Fourier-Motzkin row set (coefficients -> tightest bound), which each
+node copies, extends and eliminates again.  A check ticks once per
+variable (Fourier-Motzkin stops at the stage that gives a false row),
+and a model's sample comes from one Fourier-Motzkin back-substitution.
+Hypothesis NNFs are kept in a `Memo`, which one `prove` run shares
+across its obligations.
+
+The procedure is sound but incomplete: PROVED is trustworthy, UNPROVED
+may just mean "too hard", and counterexamples are only reported when
+they check out against the selected hypotheses.
 """
 
 from __future__ import annotations
@@ -136,9 +138,11 @@ class _Stop(Exception):
 # keyed by ((var, coeff), ...) sorted by name plus the bound; a
 # Fourier-Motzkin row has the same shape.
 _Row = tuple[tuple[tuple[str, int], ...], int]
+# A linear form: sum(coeff * var) + constant.
+_Linear = tuple[dict[str, int], int]
 
 
-def _linear(e: Formula) -> tuple[dict[str, int], int]:
+def _linear(e: Formula) -> _Linear:
     if isinstance(e, IntLiteral):
         return {}, e.value
     if isinstance(e, Ident):
@@ -174,13 +178,29 @@ def _atom(diff_coeffs: dict[str, int], bound: int):
     return ("lit", ("lin",) + tightened, True)
 
 
-def _le(a: Formula, b: Formula, offset: int = 0):
-    """Tree for a - b <= offset."""
-    ac, ak = _linear(a)
-    bc, bk = _linear(b)
-    for k, v in bc.items():
-        ac[k] = ac.get(k, 0) - v
-    return _atom(ac, offset + bk - ak)
+def _minus(left: _Linear, right: _Linear) -> _Linear:
+    """The linear form left - right of two linear forms."""
+    coeffs = dict(left[0])
+    for k, v in right[0].items():
+        coeffs[k] = coeffs.get(k, 0) - v
+    return coeffs, left[1] - right[1]
+
+
+def _relation(op: str, difference: _Linear):
+    """Tree for ``left op right``, given the linear form left - right."""
+    coeffs, const = difference
+    negated = {k: -v for k, v in coeffs.items()}
+    if op == "<=":
+        return _atom(coeffs, -const)
+    if op == "<":
+        return _atom(coeffs, -const - 1)
+    if op == ">=":
+        return _atom(negated, const)
+    if op == ">":
+        return _atom(negated, const - 1)
+    if op == "=":
+        return ("and", _atom(coeffs, -const), _atom(negated, const))
+    return ("or", _atom(coeffs, -const - 1), _atom(negated, const - 1))
 
 
 def _nnf(f: Formula, positive: bool):
@@ -219,36 +239,25 @@ def _nnf(f: Formula, positive: bool):
 
 
 def _comparison(f: Comparison, positive: bool):
-    a, b = f.left, f.right
     op = f.op
     if not positive:
         flip = {"=": "/=", "/=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
         op = flip[op]
-    if op == "<=":
-        return _le(a, b)
-    if op == "<":
-        return _le(a, b, -1)
-    if op == ">=":
-        return _le(b, a)
-    if op == ">":
-        return _le(b, a, -1)
-    if op == "=":
-        return ("and", _le(a, b), _le(b, a))
-    return ("or", _le(a, b, -1), _le(b, a, -1))
+    return _relation(op, _minus(_linear(f.left), _linear(f.right)))
 
 
 def _membership(f: Membership, positive: bool):
     if isinstance(f.container, NatSet):
-        zero = IntLiteral(0)
-        return _comparison(Comparison("<=", zero, f.element), positive)
+        return _relation(">=" if positive else "<", _linear(f.element))
     if isinstance(f.container, IntSet):
         return ("true",) if positive else ("false",)
     if isinstance(f.container, SetLiteral):
+        x = _linear(f.element)
         if positive:
-            eqs = [_comparison(Comparison("=", f.element, e), True) for e in f.container.elements]
+            eqs = [_relation("=", _minus(x, _linear(e))) for e in f.container.elements]
             return balanced(lambda a, b: ("or", a, b), eqs) if eqs else ("false",)
         # e /= x rather than x /= e: the order of its two literals steers the search
-        nes = [_comparison(Comparison("=", e, f.element), False) for e in f.container.elements]
+        nes = [_relation("/=", _minus(_linear(e), x)) for e in f.container.elements]
         return balanced(lambda a, b: ("and", a, b), nes) if nes else ("true",)
     if isinstance(f.container, Ident):
         key = ("set", f.container.key, f.element)
@@ -260,15 +269,11 @@ def _membership(f: Membership, positive: bool):
 
 
 class Memo:
-    """Results shared by the `decide` calls of one `prove` run: the
-    `_eliminate` result of each Fourier-Motzkin component keyed by its
-    frozen row set, and the NNF of each hypothesis.  A search node
-    carries its own literals and theory state, so nothing here belongs
-    to one node.  Every entry is a pure function of its key, so verdicts
+    """The NNF of each hypothesis, shared by the `decide` calls of one
+    `prove` run.  Every entry is a pure function of its key, so verdicts
     and branch counts do not depend on what the memo holds."""
 
     def __init__(self) -> None:
-        self.components: dict = {}
         self.nnf: dict = {}
 
 
@@ -278,10 +283,13 @@ BRANCH_CAP = 1 << 16
 
 
 class _Search:
-    def __init__(self, deadline: float | None, memo: Memo | None = None) -> None:
+    """The budget of one `decide` call: the branches and theory ticks
+    visited so far, and the deadline.  A search node carries its own
+    literals and theory state, so nothing here belongs to one node."""
+
+    def __init__(self, deadline: float | None) -> None:
         self.deadline = deadline
         self.visited = 0
-        self.memo = memo if memo is not None else Memo()
 
     def tick(self, n: int = 1) -> None:
         self.visited += n
@@ -343,7 +351,7 @@ def _units(tree, out: list) -> list:
     return out
 
 
-def _propagate(tree, values: dict, search: _Search, theory: _Graph | _Theory):
+def _propagate(tree, values: dict, search: _Search, theory: _Graph | dict):
     """One search node: the parent's simplified tree and theory state,
     and ``values``, the literals assigned at this node (its branch
     literal, or nothing at the root).  Adds the unit literals to
@@ -458,19 +466,17 @@ def _graph_rows(graph: _Graph) -> dict:
     }
 
 
-def _check(theory: _Graph | _Theory, values: dict, search: _Search) -> _Graph | _Theory | None:
+def _check(theory: _Graph | dict, values: dict, search: _Search) -> _Graph | dict | None:
     """The node's theory state: its parent's with the rows of the linear
     literals in ``values`` added, or None when they make it infeasible.
-    A graph state becomes a Fourier-Motzkin one, built from its rows
-    and the new ones in one `_extend`, once a row of another kind
-    arrives."""
+    A graph state becomes a Fourier-Motzkin one, its rows as the
+    starting dict, once a row of another kind arrives."""
     rows = _rows(values)
     if isinstance(theory, _Graph):
         edges = [_edge(row) for row in rows]
         if None not in edges:
             return _relax(theory, edges, search)
-        rows = list(_graph_rows(theory).items()) + rows
-        theory = _EMPTY
+        theory = _graph_rows(theory)
     return _extend(theory, rows, search)
 
 
@@ -523,78 +529,30 @@ def _relax(graph: _Graph, edges: list, search: _Search) -> _Graph | None:
     return _Graph(pi, succ)
 
 
-# The Fourier-Motzkin state of a search node: a union-find over the
-# variable names of its linear rows, and for each root the rows of
-# that variable-disjoint component (coefficients -> tightest bound) with
-# their `_eliminate` result.  A state is never changed once built.
-_Theory = tuple[dict[str, str], dict[str, tuple[dict, tuple]]]
-_EMPTY: _Theory = ({}, {})
-
-
-def _extend(theory: _Theory, rows: list[_Row], search: _Search) -> _Theory | None:
-    """The state with ``rows`` added, or None when they make it
-    infeasible.  Only the components the new rows join are rebuilt and
-    looked up in the memo.  Ticks once per variable in sorted order up
-    to the first that gives a false row, as one elimination over all of
-    them would."""
-    memo = search.memo
-    parent, parts = dict(theory[0]), dict(theory[1])
-    changed: dict[str, dict] = {}
-    for coeffs, bound in rows:
+def _extend(rows: dict, new: list[_Row], search: _Search) -> dict | None:
+    """The Fourier-Motzkin state (coefficients -> tightest bound) with
+    the ``new`` rows added, or None when they make it infeasible.  Ticks
+    once per variable in sorted order up to the first that gives a false
+    row; elimination never combines rows that share no variable, so that
+    variable does not depend on which other such parts the state holds.
+    A state is never changed once built."""
+    rows = dict(rows)
+    for coeffs, bound in new:
         search.check_deadline()
-        # the roots (union-find with path halving) of the row's variables
-        roots: list[str] = []
-        for name, _ in coeffs:
-            while (up := parent.setdefault(name, name)) != name:
-                parent[name] = name = parent[up]
-            if name not in roots:
-                roots.append(name)
-        root = roots[0]
-        part = changed.get(root)
-        if part is None:
-            part = changed[root] = dict(parts[root][0]) if root in parts else {}
-        for other in roots[1:]:
-            parent[other] = root
-            dropped = parts.pop(other, ({},))[0]
-            part.update(changed.pop(other, dropped))
         # of two rows with equal coefficients the tighter one implies
         # the other, so only that one is kept
-        if part.get(coeffs, bound) >= bound:
-            part[coeffs] = bound
-
-    stop = None
-    for root, part in changed.items():
-        memo_key = frozenset(part.items())
-        result = memo.components.get(memo_key)
-        if result is None:
-            result = memo.components[memo_key] = _eliminate(part, search)
-        parts[root] = (part, result)
-        if result[0] is not None and (stop is None or result[0] < stop):
-            stop = result[0]
-    if stop is not None:
-        search.tick(sum(1 for name in parent if name <= stop))
-        return None
-    search.tick(len(parent))
-    return parent, parts
+        if rows.get(coeffs, bound) >= bound:
+            rows[coeffs] = bound
+    stages, feasible = _eliminate(rows, search)
+    search.tick(len(stages))
+    return rows if feasible else None
 
 
-def _sample(theory: _Graph | _Theory, search: _Search) -> dict[str, int] | None:
-    """The integer sample of a feasible state, None when not integral.
-    A graph's is found by one back-substitution over its rows, as
-    Fourier-Motzkin would find it, and is always integral."""
-    if isinstance(theory, _Graph):
-        return _eliminate(_graph_rows(theory), search)[1]
-    samples = [sample for _, (_, sample) in theory[1].values()]
-    if any(sample is None for sample in samples):
-        return None
-    return {name: v for sample in samples for name, v in sample.items()}
-
-
-def _eliminate(rows: dict, search: _Search) -> tuple[str | None, dict[str, int] | None]:
-    """Eliminate the variables of one component in sorted order (a row
-    holds the one being eliminated as its first coefficient).  Returns
-    the variable that gave a false row, or None and the integer sample
-    (None when it is not integral)."""
+def _eliminate(rows: dict, search: _Search) -> tuple[list[tuple[str, dict]], bool]:
+    """Eliminate the variables of ``rows`` in sorted order (a row holds
+    the one being eliminated as its first coefficient).  Returns the
+    stages, each variable with the rows it was eliminated from, up to
+    the one that gave a false row, and whether no stage did."""
     stages: list[tuple[str, dict]] = []
     current = rows
     for name in sorted({name for coeffs in rows for name, _ in coeffs}):
@@ -620,11 +578,19 @@ def _eliminate(rows: dict, search: _Search) -> tuple[str | None, dict[str, int] 
                 if c is not None:
                     coeffs, bound = c
                     if not coeffs:
-                        return name, None
+                        return stages, False
                     if rest.get(coeffs, bound) >= bound:
                         rest[coeffs] = bound
         current = rest
+    return stages, True
 
+
+def _sample(theory: _Graph | dict, search: _Search) -> dict[str, int] | None:
+    """The integer sample of a feasible state by Fourier-Motzkin
+    back-substitution, None when it is not integral.  A graph's sample
+    always is."""
+    rows = _graph_rows(theory) if isinstance(theory, _Graph) else theory
+    stages, _ = _eliminate(rows, search)
     sample: dict[str, int] = {}
     for name, cons in reversed(stages):
         # a * name <= rest bounds name by rest / a, rounded down for
@@ -640,9 +606,9 @@ def _eliminate(rows: dict, search: _Search) -> tuple[str | None, dict[str, int] 
                     lows.append(-(rest // -a))
         value = min([max([0, *lows]), *highs])  # the value in range nearest 0
         if lows and value < max(lows):
-            return None, None
+            return None
         sample[name] = value
-    return None, sample
+    return sample
 
 
 # --- the decision entry point ---------------------------------------------------
@@ -656,8 +622,7 @@ def decide(
 ) -> Decision:
     """Validity of hypotheses |- goal, by refuting their conjunction with
     the negated goal, within `BRANCH_CAP` branches.  A ``memo`` shared
-    by several calls saves their common theory work; without one each
-    call keeps its own."""
+    by several calls saves the NNF of their common hypotheses."""
     try:
         trees = [_nnf(goal, False)]
         for h in reversed(hypotheses):
@@ -665,7 +630,7 @@ def decide(
                 trees.append(_nnf(h, True))
             else:
                 trees.append(memo.nnf.get(h) or memo.nnf.setdefault(h, _nnf(h, True)))
-        search = _Search(deadline, memo)
+        search = _Search(deadline)
         theory = _solve(balanced(lambda a, b: ("and", a, b), trees[::-1]), search)
         if theory is None:
             return Decision(PROVED, "no countermodel")

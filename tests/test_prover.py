@@ -136,7 +136,7 @@ def fourier_motzkin(assignment, search):
     """The Fourier-Motzkin state of an assignment's linear literals,
     built from the empty one: feasibility and the integer sample (None
     when not integral)."""
-    theory = prover._extend(prover._EMPTY, prover._rows(assignment), search)
+    theory = prover._extend({}, prover._rows(assignment), search)
     return (False, None) if theory is None else (True, prover._sample(theory, search))
 
 
@@ -222,7 +222,7 @@ def test_decide_pinned_visited_counts(monkeypatch, index, cap):
 
 
 def test_decide_twice_is_the_same_search(monkeypatch):
-    # the theory memos live and die with one decide call
+    # a decide call keeps no search state after it returns
     rng = random.Random(5)
     cases = [(tuple(p(h) for h in hyps), p(goal)) for hyps, goal in PINNED]
     for _ in range(40):
@@ -230,6 +230,17 @@ def test_decide_twice_is_the_same_search(monkeypatch):
         cases.append((tuple(h.predicate for h in s.hypotheses), s.goal))
     for hyps, goal in cases:
         assert decide_visited(monkeypatch, hyps, goal) == decide_visited(monkeypatch, hyps, goal)
+
+
+def test_decide_on_variable_disjoint_disjunctions(monkeypatch):
+    # six satisfiable parts over a_i, b_i and one over c, d with no
+    # model, each a disjunction: the shape a per-part theory memo served
+    hyps = []
+    for i in range(6):
+        hyps += [f"a{i} + b{i} <= 5", f"a{i} >= 3 or b{i} >= 3"]
+    hyps += ["c >= 0 & d >= 0", "c + d <= 5", "2 * c + d >= 20 or c + 2 * d >= 20"]
+    decision, visited = decide_visited(monkeypatch, tuple(p(h) for h in hyps), p("c >= 100"))
+    assert (decision.status, visited) == (PROVED, 3825)
 
 
 def test_feasible_joins_components_through_a_later_row():
@@ -397,6 +408,22 @@ def test_decide_on_long_set_literal():
 def test_negated_set_membership_keeps_its_literal_order():
     # the order of the literals steers the search, and so `visited`
     assert prover._nnf(p("not (x in {1, 2, 3})"), True) == prover._nnf(p("1 /= x & 2 /= x & 3 /= x"), True)
+
+
+@pytest.mark.parametrize("goal, calls", [("x = y", 2), ("x in {1, 2, 3}", 4), ("not (x in {1, 2, 3})", 4)])
+def test_each_comparison_is_linearised_once(monkeypatch, goal, calls):
+    # both atoms of a comparison come from one left - right, and a set
+    # literal's element is linearised once for all its members
+    linear = prover._linear
+    seen = []
+
+    def counting(e):
+        seen.append(e)
+        return linear(e)
+
+    monkeypatch.setattr(prover, "_linear", counting)
+    decide((), p(goal))
+    assert len(seen) == calls
 
 
 def test_decide_search_deeper_than_the_recursion_limit():
