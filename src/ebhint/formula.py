@@ -294,9 +294,10 @@ def prime(f: Formula, names: Iterable[str]) -> Formula:
 
 
 def balanced(join: Callable, items: list):
-    """The items joined by ``join``, in order, as a tree of depth
-    ceil(log2 n), so that the recursive walkers stay shallow on long
-    chains."""
+    """The formulas joined by ``join`` (`And` or `Or`), in order, as a
+    tree of depth ceil(log2 n), so that the recursive walkers of
+    formulas stay shallow on long chains (`conjunction`,
+    `disjunction`)."""
     while len(items) > 1:
         items = [join(*items[i : i + 2]) if i + 1 < len(items) else items[i] for i in range(0, len(items), 2)]
     return items[0]

@@ -8,12 +8,14 @@ each remaining leaf is closed either syntactically or by `decide`.
 `decide` refutes the conjunction of the selected hypotheses and the
 negated goal.  Membership is elaborated into arithmetic (memberships in
 declared carrier sets stay opaque), and the result is put in negation
-normal form over linear atoms, long chains as balanced trees.  A lazy
-DPLL(T) search then looks for a propositional model: before branching
-it assigns every literal on the top-level conjunction spine (unit
-propagation), and each node that assigned a linear literal is checked
-over the integers, so an arithmetically inconsistent node is pruned
-with its whole subtree.  A search node carries its own state: its
+normal form over linear atoms, with n-ary "and" and "or" nodes.
+Simplifying a tree folds its constants and splices each child of a
+node's own kind into the node, so the whole sequent is one flat
+conjunction.  A lazy DPLL(T) search then looks for a propositional
+model: before branching it assigns every literal child of that root
+(unit propagation), and each node that assigned a linear literal is
+checked over the integers, so an arithmetically inconsistent node is
+pruned with its whole subtree.  A search node carries its own state: its
 simplified tree, its theory state, which extends its parent's, and the
 literals assigned at it.  Rows keep integer coefficients divided by
 their gcd, the bound rounded down.  While a path's rows are all bounds
@@ -62,7 +64,6 @@ from .formula import (
     Add,
     Truth,
     Unevaluable,
-    balanced,
     conjunction,
     evaluate,
     free_identifiers,
@@ -199,15 +200,16 @@ def _relation(op: str, difference: _Linear):
     if op == ">":
         return _atom(negated, const - 1)
     if op == "=":
-        return ("and", _atom(coeffs, -const), _atom(negated, const))
-    return ("or", _atom(coeffs, -const - 1), _atom(negated, const - 1))
+        return ("and", (_atom(coeffs, -const), _atom(negated, const)))
+    return ("or", (_atom(coeffs, -const - 1), _atom(negated, const - 1)))
 
 
 def _nnf(f: Formula, positive: bool):
     """Negation normal form tree over linear and opaque literals.
 
-    Nodes: ("and"|"or", left, right), ("lit", key, polarity),
-    ("true",), ("false",).
+    Nodes: ("and"|"or", children) with ``children`` a tuple,
+    ("lit", key, polarity), ("true",), ("false",).  `_simplify` folds
+    the constants and flattens nested nodes of one kind.
     """
     if isinstance(f, Truth):
         return ("true",) if positive else ("false",)
@@ -217,18 +219,18 @@ def _nnf(f: Formula, positive: bool):
         return _nnf(f.operand, not positive)
     if isinstance(f, And):
         op = "and" if positive else "or"
-        return (op, _nnf(f.left, positive), _nnf(f.right, positive))
+        return (op, (_nnf(f.left, positive), _nnf(f.right, positive)))
     if isinstance(f, Or):
         op = "or" if positive else "and"
-        return (op, _nnf(f.left, positive), _nnf(f.right, positive))
+        return (op, (_nnf(f.left, positive), _nnf(f.right, positive)))
     if isinstance(f, Implies):
         if positive:
-            return ("or", _nnf(f.left, False), _nnf(f.right, True))
-        return ("and", _nnf(f.left, True), _nnf(f.right, False))
+            return ("or", (_nnf(f.left, False), _nnf(f.right, True)))
+        return ("and", (_nnf(f.left, True), _nnf(f.right, False)))
     if isinstance(f, Iff):
-        both = ("and", _nnf(f.left, positive), _nnf(f.right, True))
-        neither = ("and", _nnf(f.left, not positive), _nnf(f.right, False))
-        return ("or", both, neither)
+        both = ("and", (_nnf(f.left, positive), _nnf(f.right, True)))
+        neither = ("and", (_nnf(f.left, not positive), _nnf(f.right, False)))
+        return ("or", (both, neither))
     if isinstance(f, Comparison):
         return _comparison(f, positive)
     if isinstance(f, Membership):
@@ -254,11 +256,9 @@ def _membership(f: Membership, positive: bool):
     if isinstance(f.container, SetLiteral):
         x = _linear(f.element)
         if positive:
-            eqs = [_relation("=", _minus(x, _linear(e))) for e in f.container.elements]
-            return balanced(lambda a, b: ("or", a, b), eqs) if eqs else ("false",)
+            return ("or", tuple(_relation("=", _minus(x, _linear(e))) for e in f.container.elements))
         # e /= x rather than x /= e: the order of its two literals steers the search
-        nes = [_relation("/=", _minus(_linear(e), x)) for e in f.container.elements]
-        return balanced(lambda a, b: ("and", a, b), nes) if nes else ("true",)
+        return ("and", tuple(_relation("/=", _minus(_linear(e), x)) for e in f.container.elements))
     if isinstance(f.container, Ident):
         key = ("set", f.container.key, f.element)
         return ("lit", key, positive)
@@ -304,66 +304,58 @@ class _Search:
 
 
 def _simplify(tree, values: dict):
+    """The tree under the literals of ``values``, folded and flattened in
+    order: below its root it holds no constant and no node of its
+    parent's kind."""
     head = tree[0]
-    if head in ("true", "false"):
-        return tree
     if head == "lit":
-        _, key, polarity = tree
-        value = values.get(key)
+        value = values.get(tree[1])
         if value is None:
             return tree
-        return ("true",) if value == polarity else ("false",)
-    left = _simplify(tree[1], values)
-    right = _simplify(tree[2], values)
+        return ("true",) if value == tree[2] else ("false",)
     if head == "and":
-        if left == ("false",) or right == ("false",):
-            return ("false",)
-        if left == ("true",):
-            return right
-        if right == ("true",):
-            return left
+        stop, neutral = ("false",), ("true",)
+    elif head == "or":
+        stop, neutral = ("true",), ("false",)
     else:
-        if left == ("true",) or right == ("true",):
-            return ("true",)
-        if left == ("false",):
-            return right
-        if right == ("false",):
-            return left
-    return (head, left, right)
+        return tree
+    children: list = []
+    for child in tree[1]:
+        child = _simplify(child, values)
+        if child == stop:
+            return stop
+        if child[0] == head:
+            children.extend(child[1])
+        elif child != neutral:
+            children.append(child)
+    if len(children) > 1:
+        return (head, tuple(children))
+    return children[0] if children else neutral
 
 
 def _first_literal(tree):
     """The leftmost literal of a simplified tree that is not a constant:
-    such a tree holds no constant below its root."""
+    such a tree holds no constant below its root, so the first child of
+    each node leads to it."""
     while tree[0] != "lit":
-        tree = tree[1]
+        tree = tree[1][0]
     return tree[1]
-
-
-def _units(tree, out: list) -> list:
-    """The literals on the top-level conjunction spine: every model of
-    the tree makes them true."""
-    if tree[0] == "and":
-        _units(tree[1], out)
-        _units(tree[2], out)
-    elif tree[0] == "lit":
-        out.append((tree[1], tree[2]))
-    return out
 
 
 def _propagate(tree, values: dict, search: _Search, theory: _Graph | dict):
     """One search node: the parent's simplified tree and theory state,
     and ``values``, the literals assigned at this node (its branch
-    literal, or nothing at the root).  Adds the unit literals to
-    ``values`` and checks a model, or a node that assigned linear
-    literals, for arithmetic consistency.  Returns the node's simplified
-    tree and theory state, or None if it is dead."""
+    literal, or nothing at the root).  Adds the unit literals, the
+    literal children of the simplified root conjunction, to ``values``
+    until none is left, and checks a model, or a node that assigned
+    linear literals, for arithmetic consistency.  Returns the node's
+    simplified tree and theory state, or None if it is dead."""
     search.tick()
     tree = _simplify(tree, values)
     while tree[0] not in ("true", "false"):
         units: dict = {}
-        for key, polarity in _units(tree, []):
-            if units.setdefault(key, polarity) != polarity:
+        for child in tree[1] if tree[0] == "and" else (tree,):
+            if child[0] == "lit" and units.setdefault(child[1], child[2]) != child[2]:
                 return None
         if not units:
             break
@@ -631,7 +623,7 @@ def decide(
             else:
                 trees.append(memo.nnf.get(h) or memo.nnf.setdefault(h, _nnf(h, True)))
         search = _Search(deadline)
-        theory = _solve(balanced(lambda a, b: ("and", a, b), trees[::-1]), search)
+        theory = _solve(("and", tuple(trees[::-1])), search)
         if theory is None:
             return Decision(PROVED, "no countermodel")
         if any(named_sets(f) for f in hypotheses + (goal,)):

@@ -14,7 +14,13 @@ report of `prove --json` (blanked as above), in both hint modes.
 counterexample and branch count (`_Search.visited`) of `decide` on
 `DECIDE_DRAWS` seeded random sequents and on the pinned pathological
 ones, so a change to the search states every `visited` it moves.  A
-change that alters any of it changes the contract; write the new
+change that alters any of it changes the contract.  List every entry
+that the current code moves, as its name, old value and new value,
+with
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+which writes nothing and exits 1 if any entry moved; write the new
 expectation on purpose with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -144,10 +150,34 @@ def _write(path: Path, golden: dict) -> None:
     path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def moved(old, new, name: str):
+    """(name, old value, new value) of each entry that differs between
+    two snapshots, descending into the dicts that both hold."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from moved(old.get(key), new.get(key), f"{name}[{json.dumps(key)}]")
+    elif old != new:
+        yield name, old, new
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:] not in (["--write"], ["--diff"]):
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as work:
-        _write(GOLDEN, {f"{n} {m}": snapshot(n, m, Path(work)) for n in FIXTURE_FILES for m in MODES})
-        _write(GENERATE_GOLDEN, {f"{n} {m}": generate_snapshot(n, m, Path(work)) for n in MODEL_FILES for m in MODES})
-    _write(DECIDE_GOLDEN, decide_snapshot())
+        goldens = {
+            GOLDEN: {f"{n} {m}": snapshot(n, m, Path(work)) for n in FIXTURE_FILES for m in MODES},
+            GENERATE_GOLDEN: {f"{n} {m}": generate_snapshot(n, m, Path(work)) for n in MODEL_FILES for m in MODES},
+        }
+    goldens[DECIDE_GOLDEN] = decide_snapshot()
+    if sys.argv[1] == "--write":
+        for path, golden in goldens.items():
+            _write(path, golden)
+        sys.exit()
+    entries = [
+        entry
+        for path, golden in goldens.items()
+        for entry in moved(json.loads(path.read_text(encoding="utf-8")), json.loads(json.dumps(golden)), path.name)
+    ]
+    for name, old, new in entries:
+        print(f"{name}: {json.dumps(old)} -> {json.dumps(new)}")
+    sys.exit(1 if entries else 0)

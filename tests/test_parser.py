@@ -148,6 +148,16 @@ def test_expect_messages_quote_a_kind_but_not_a_description():
         parse_source("context c\n")
 
 
+def test_list_and_target_messages():
+    with pytest.raises(ParseError, match=r"^<string>:3:1: syntax: expected variable after ','$"):
+        parse_source("machine m\nvariables x,\nevents\nend\n")
+    events = "machine m\nvariables x y\nevents\n  event e\n  then\n    a1: x, y {} 1\n  end\nend\n"
+    with pytest.raises(ParseError, match=r"^<string>:6:14: syntax: ':=' takes exactly one target$"):
+        parse_source(events.format(":="))
+    with pytest.raises(ParseError, match=r"^<string>:6:14: syntax: '::' takes exactly one target$"):
+        parse_source(events.format("::"))
+
+
 def test_initialisation_is_a_reserved_event_name():
     with pytest.raises(ParseError) as exc:
         parse_source("machine m\nevents\n  event INITIALISATION\n  end\nend\n")
@@ -371,6 +381,25 @@ def test_load_model_circular_reference(tmp_path):
     model, diags = load_model(tmp_path / "a.ebh")
     assert model is None
     assert any(d.code == "circular-reference" for d in diags)
+
+
+def test_load_model_sees_a_machine_file(tmp_path):
+    (tmp_path / "other.ebh").write_text("machine other\nevents\nend\n")
+    src = tmp_path / "top.ebh"
+    src.write_text("machine top sees other\nevents\nend\n")
+    model, diags = load_model(src)
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("unresolved-reference", "other.ebh does not contain a context")]
+
+
+def test_load_model_circular_extends_chain(tmp_path):
+    (tmp_path / "c1.ebh").write_text("context c1 extends c2\nend\n")
+    (tmp_path / "c2.ebh").write_text("context c2 extends c1\nend\n")
+    (tmp_path / "m.ebh").write_text("machine m sees c1\nevents\nend\n")
+    model, diags = load_model(tmp_path / "m.ebh")
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("circular-reference", "circular extends chain through 'c1'")]
+    assert diags[0].path == str(tmp_path / "c2.ebh")
 
 
 def test_load_model_missing_file_raises_oserror(tmp_path):

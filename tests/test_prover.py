@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_FILES, FIXTURES
 from ebhint import prover
-from ebhint.formula import Truth, balanced, evaluate
+from ebhint.formula import Or, Truth, balanced, evaluate
 from ebhint.model import Hypothesis, Sequent
 from ebhint.parser import load_model, parse_predicate
 from ebhint.pog import apply_hints_pog, case_sequents, generate
@@ -23,6 +23,7 @@ from ebhint.prover import (
     PROVED,
     UNPROVED,
     UNSUPPORTED,
+    Decision,
     ProveOptions,
     decide,
     intro,
@@ -87,6 +88,20 @@ def test_decide_nonlinear_unsupported():
     assert d.status == UNSUPPORTED
 
 
+@pytest.mark.parametrize("goal, reason", [
+    ("x + {1} = 0", "set-valued term in arithmetic position: {1}"),
+    ("x in y + 1", "membership in y + 1"),
+])
+def test_decide_unsupported_terms(goal, reason):
+    assert decide((), p(goal)) == Decision(UNSUPPORTED, reason)
+
+
+def test_decide_reports_no_countermodel_it_cannot_confirm(monkeypatch):
+    # x = -1 satisfies both x <= 0 and the goal x <= -1, so it refutes nothing
+    monkeypatch.setattr(prover, "_sample", lambda theory, search: {"x": -1})
+    assert decide((p("x <= 0"),), p("x <= -1")) == Decision(UNPROVED, "countermodel could not be confirmed")
+
+
 def test_decide_opaque_set_membership_sound():
     # S is a named set: x in S proves x in S, but nothing more
     assert decide((p("x in S"),), p("x in S")).status == PROVED
@@ -110,13 +125,16 @@ def test_decide_past_deadline_times_out():
     assert d.reason == "timeout"
 
 
-# An equivalence, negated or not, and unary minus, each with the
-# counterexample decide reports (None when it proves the sequent).
+# An equivalence, negated or not, unary minus and multiplication by a
+# right literal, each with the counterexample decide reports (None when
+# it proves the sequent).
 ORACLE_CASES = [
     (("x = 1 <=> y = 1", "y = 1"), "x = 1", None),
     (("not (x = 1 <=> y = 2)",), "x = 1", {"x": 0, "y": 2}),
     (("-x >= 3",), "x <= -3", None),
     (("-x <= 2",), "x >= 0", {"x": -1}),
+    (("x * 3 <= 6",), "x <= 2", None),
+    (("x * 3 >= 7",), "x >= 4", {"x": 3}),
 ]
 
 
@@ -377,19 +395,18 @@ def test_difference_rows_reach_fourier_motzkin_only_for_the_sample(monkeypatch, 
 # --- long chains ---------------------------------------------------------------
 
 
-def _leaves_and_depth(tree, depth=0):
-    if tree[0] in ("and", "or"):
-        left, dl = _leaves_and_depth(tree[1], depth + 1)
-        right, dr = _leaves_and_depth(tree[2], depth + 1)
+def _leaves_and_depth(f, depth=0):
+    if isinstance(f, Or):
+        left, dl = _leaves_and_depth(f.left, depth + 1)
+        right, dr = _leaves_and_depth(f.right, depth + 1)
         return left + right, max(dl, dr)
-    return [tree], depth
+    return [f], depth
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 1_000])
 def test_balanced_chain_keeps_leaf_order_at_log_depth(n):
-    leaves = [("lit", ("set", "S", k), True) for k in range(n)]
-    tree = balanced(lambda a, b: ("or", a, b), leaves)
-    assert _leaves_and_depth(tree) == (leaves, (n - 1).bit_length())
+    leaves = [p(f"x = {k}") for k in range(n)]
+    assert _leaves_and_depth(balanced(Or, leaves)) == (leaves, (n - 1).bit_length())
 
 
 def test_decide_on_many_hypotheses():
@@ -406,8 +423,61 @@ def test_decide_on_long_set_literal():
 
 
 def test_negated_set_membership_keeps_its_literal_order():
-    # the order of the literals steers the search, and so `visited`
-    assert prover._nnf(p("not (x in {1, 2, 3})"), True) == prover._nnf(p("1 /= x & 2 /= x & 3 /= x"), True)
+    # the order of the literals steers the search, and so `visited`; the
+    # membership is one flat node, the conjunction nested binary ones
+    membership = prover._nnf(p("not (x in {1, 2, 3})"), True)
+    chain = prover._nnf(p("1 /= x & 2 /= x & 3 /= x"), True)
+    assert prover._simplify(membership, {}) == prover._simplify(chain, {})
+
+
+# x in {0..n-1} |- x + 1 in {1..n} holds for every n; its search runs a
+# path about n branches deep (PROVED, with `_Search.visited` pinned)
+@pytest.mark.parametrize("n, visited", [(10, 109), (100, 1189)])
+def test_decide_shifted_set_literal(monkeypatch, n, visited):
+    hyp = p("x in {" + ", ".join(str(k) for k in range(n)) + "}")
+    goal = p("x + 1 in {" + ", ".join(str(k) for k in range(1, n + 1)) + "}")
+    d, count = decide_visited(monkeypatch, (hyp,), goal)
+    assert (d.status, count) == (PROVED, visited)
+
+
+_KEYS = ("a", "b", "c", "d")
+_TREES = st.recursive(
+    st.sampled_from([("true",), ("false",)])
+    | st.tuples(st.just("lit"), st.sampled_from(_KEYS), st.booleans()),
+    lambda inner: st.tuples(st.sampled_from(["and", "or"]), st.lists(inner, max_size=4).map(tuple)),
+    max_leaves=12,
+)
+
+
+def _truth(tree, values) -> bool:
+    """The truth value of an NNF tree under a total assignment."""
+    if tree[0] == "lit":
+        return values[tree[1]] == tree[2]
+    if tree[0] in ("true", "false"):
+        return tree[0] == "true"
+    truths = [_truth(child, values) for child in tree[1]]
+    return all(truths) if tree[0] == "and" else any(truths)
+
+
+def _flat(tree, parent) -> bool:
+    """No constant, no node with fewer than two children, and no node of
+    its parent's kind in the tree below the root."""
+    if tree[0] == "lit":
+        return True
+    if tree[0] in ("true", "false"):
+        return parent is None
+    return tree[0] != parent and len(tree[1]) > 1 and all(_flat(child, tree[0]) for child in tree[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, st.dictionaries(st.sampled_from(_KEYS), st.booleans()))
+def test_simplify_folds_flattens_and_keeps_the_truth_value(tree, values):
+    simplified = prover._simplify(tree, values)
+    assert _flat(simplified, None)
+    rest = [k for k in _KEYS if k not in values]
+    for bits in range(1 << len(rest)):
+        total = {**values, **{k: bool(bits >> i & 1) for i, k in enumerate(rest)}}
+        assert _truth(simplified, total) == _truth(tree, total)
 
 
 @pytest.mark.parametrize("goal, calls", [("x = y", 2), ("x in {1, 2, 3}", 4), ("not (x in {1, 2, 3})", 4)])

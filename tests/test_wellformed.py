@@ -330,6 +330,19 @@ DIAGNOSTICS = [
     ("duplicate-label fact", _machine(_event("  where\n    i1: x = 0\n")), {}, [
         "<model>:8:5: duplicate-label: label 'i1' in event 'e' collides with a visible fact",
     ]),
+    ("duplicate-label guard", _machine(_event("  where\n    g1: x = 0\n    g1: x = 1\n")), {}, [
+        "<model>:9:5: duplicate-label: duplicate label 'g1' in event 'e'",
+    ]),
+    ("duplicate-label action", _machine(_event("  where\n    g1: x = 0\n  then\n    g1: x := 1\n")), {}, [
+        "<model>:10:5: duplicate-label: duplicate label 'g1' in event 'e'",
+    ]),
+    ("duplicate-label witness", _refining("  where\n    p: y = 0\n  with\n    p: p = 0\n", variables="x y"),
+     {"refines": ABSTRACT_P}, [
+        "<model>:10:5: duplicate-label: witness subject 'p' collides with another label",
+    ]),
+    ("duplicate-label invariant", _machine("", "  ax1: x in NAT\n"), {"sees": CONTEXT_K}, [
+        "<model>:4:3: duplicate-label: label 'ax1' collides with a visible fact",
+    ]),
     ("duplicate-variable", _machine("", variables="x x"), {}, [
         "<model>:2:13: duplicate-variable: duplicate variable 'x'",
     ]),
@@ -364,6 +377,9 @@ DIAGNOSTICS = [
     ]),
     ("missing-witness", _refining(""), {"refines": ABSTRACT_XY}, [
         "<model>:6:3: missing-witness: no witness for disappearing abstract variable x'",
+    ]),
+    ("missing-witness parameter", _refining("", variables="x y"), {"refines": ABSTRACT_P}, [
+        "<model>:6:3: missing-witness: no witness for abstract parameter 'p'",
     ]),
     ("useless-witness refines nothing", _machine(_event(WITNESS_X)), {}, [
         '<model>:8:5: useless-witness: witness "x\'" on an event that refines nothing',
