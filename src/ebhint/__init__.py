@@ -18,18 +18,14 @@ from .model import (
     Sequent,
 )
 from .parser import ParseError, load_model, parse_predicate, parse_source
-from .pog import (
-    apply_hints_pog,
-    before_after,
-    case_sequents,
-    generate,
-    normalize_deterministic_ba,
-)
+from .pog import before_after, generate, normalize_deterministic_ba
 from .printer import pretty_print, print_formula
 from .prover import (
     Decision,
     ProofResult,
     ProveOptions,
+    apply_hints_pog,
+    case_sequents,
     decide,
     intro,
     one_point,

@@ -22,9 +22,9 @@ from . import __version__
 from .diagnostics import Diagnostic
 from .model import INITIALISATION, USE_HYPOTHESIS, Model, PoSet
 from .parser import Loader, load_model
-from .pog import apply_hints_pog, generate
+from .pog import generate
 from .printer import print_formula
-from .prover import PROVED, UNPROVED, Memo, ProofResult, ProveOptions, prove_obligation
+from .prover import PROVED, UNPROVED, Memo, ProofResult, ProveOptions, apply_hints_pog, prove_obligation
 from .smtlib import export_smt
 from .wellformed import check_new_events, wellformed
 

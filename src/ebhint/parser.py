@@ -621,40 +621,51 @@ class Loader:
             return None
         return component
 
-    def context_chain(self, directory: Path, name: str, referrer: str, seen: tuple[str, ...] = ()) -> list[Context]:
-        if name in seen:
-            self.diagnostics.append(
-                _ref_diag("circular-reference", f"circular extends chain through '{name}'", referrer)
-            )
-            return []
-        ctx = self.resolve(directory, name, Context, referrer)
-        if ctx is None:
-            return []
+    def context_chain(self, directory: Path, name: str | None, referrer: str) -> list[Context]:
+        """The context ``name`` after the contexts it extends, up to the
+        first one that is circular or does not resolve."""
         chain: list[Context] = []
-        if ctx.extends:
-            chain = self.context_chain(directory, ctx.extends, str(directory / f"{name}.ebh"), seen + (name,))
-        chain.append(ctx)
-        return chain
+        seen: set[str] = set()
+        while name:
+            if name in seen:
+                self.diagnostics.append(
+                    _ref_diag("circular-reference", f"circular extends chain through '{name}'", referrer)
+                )
+                break
+            seen.add(name)
+            ctx = self.resolve(directory, name, Context, referrer)
+            if ctx is None:
+                break
+            chain.append(ctx)
+            name, referrer = ctx.extends, str(directory / f"{name}.ebh")
+        return chain[::-1]
 
-    def model(self, machine: Machine, directory: Path, referrer: str, seen: tuple[str, ...] = ()) -> Model:
-        abstract: Model | None = None
-        if machine.refines:
+    def model(self, machine: Machine, directory: Path, referrer: str) -> Model:
+        """The model of ``machine`` over the machines it refines, up to the
+        first one that is circular or does not resolve."""
+        levels = [(machine, referrer)]
+        seen: set[str] = set()  # the machines above the current one
+        while machine.refines:
             if machine.refines in seen:
                 self.diagnostics.append(
                     _ref_diag("circular-reference", f"circular refinement through '{machine.refines}'", referrer)
                 )
-            else:
-                parent = self.resolve(directory, machine.refines, Machine, referrer)
-                if parent is not None:
-                    abstract = self.model(
-                        parent, directory, str(directory / f"{machine.refines}.ebh"), seen + (machine.name,)
-                    )
-        contexts: list[Context] = list(abstract.contexts) if abstract else []
-        if machine.sees:
+                break
+            seen.add(machine.name)
+            parent = self.resolve(directory, machine.refines, Machine, referrer)
+            if parent is None:
+                break
+            machine, referrer = parent, str(directory / f"{machine.refines}.ebh")
+            levels.append((machine, referrer))
+        model: Model | None = None
+        for machine, referrer in reversed(levels):  # the contexts from the most abstract level up
+            contexts: list[Context] = list(model.contexts) if model else []
             for ctx in self.context_chain(directory, machine.sees, referrer):
                 if all(c.name != ctx.name for c in contexts):
                     contexts.append(ctx)
-        return Model(machine, tuple(contexts), abstract)
+            model = Model(machine, tuple(contexts), model)
+        assert model is not None
+        return model
 
 
 def load_model(path: str | Path, loader: Loader | None = None) -> tuple[Model | None, list[Diagnostic]]:
@@ -675,10 +686,7 @@ def load_model(path: str | Path, loader: Loader | None = None) -> tuple[Model | 
         return None, diags
     loader.cache, loader.diagnostics = {p.resolve(): component}, []
     if isinstance(component, Context):
-        chain: list[Context] = []
-        if component.extends:
-            chain = loader.context_chain(p.parent, component.extends, str(p))
-        chain.append(component)
+        chain = loader.context_chain(p.parent, component.extends, str(p)) + [component]
         model = Model(Machine(name=component.name), tuple(chain), None)
         return (model if not loader.diagnostics else None), diags + loader.diagnostics
     model = loader.model(component, p.parent, str(p))

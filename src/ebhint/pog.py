@@ -16,26 +16,19 @@ position and carries the first hint of its event that targets that
 invariant.  Nothing outlives the call.  Given an owner, `generate`
 builds only the obligations named ``{owner}/...``, which is how
 `export-smt` prints one obligation without building the others.
-
-Also hosts the hint interpreter (`apply_hint`), which the prover runs
-as a tactic and `apply_hints_pog` runs to rewrite the obligations ahead
-of proving.  On a well-formed model only the initialisation's INV
-obligations can draw an ``unresolved-hint-label`` there: a use hint
-names a visible fact, and every other event's INV obligations hold all
-of those.  Last, the normalisation step used when exporting sequents.
+`prover` applies the hints.  Last, the BA normalisation that
+`export-smt` uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .diagnostics import Diagnostic
 from .formula import (
     Comparison,
     Ident,
     Membership,
-    Not,
     Predicate,
     Quantifier,
     conjunction,
@@ -62,9 +55,7 @@ from .model import (
     PoSet,
     ProofObligation,
     Sequent,
-    USE_HYPOTHESIS,
 )
-from .printer import print_hint
 
 
 @dataclass(frozen=True)
@@ -254,8 +245,7 @@ def generate(model: Model, owner: str | None = None) -> PoSet:
     ``name.partition("/")[0]``): the theorems of the context or the
     machine of that name and the obligations of the events of that
     name, as and in the order the full set has them.  Each INV obligation
-    carries its hint unapplied; `apply_hint` applies it, either through
-    `apply_hints_pog` or as a tactic of the prover.
+    carries its hint unapplied; `prover.apply_hint` applies it.
     """
     m = model.machine
     facts = _hyps(model.visible_facts())
@@ -296,77 +286,6 @@ def generate(model: Model, owner: str | None = None) -> PoSet:
             pos.extend(_simulation_pos(model, event, hyps))
         pos.extend(_invariant_pos(model, event, hyps, init_goals if init else goals))
     return PoSet(m.name, tuple(pos))
-
-
-# --- hint application ---------------------------------------------------------
-
-
-def tactic_select(sequent: Sequent, label: str) -> Sequent | None:
-    if sequent.get(label) is None:
-        return None
-    return sequent.select({label})
-
-
-def case_sequents(sequent: Sequent, predicate: Predicate) -> tuple[Sequent, Sequent]:
-    """Split a sequent on a case predicate.
-
-    Both results additionally select every hypothesis sharing an
-    identifier with the predicate, then one gains the predicate as
-    hypothesis ``case+`` and the other its negation as ``case-``.
-    """
-    shared = free_identifiers(predicate)
-    hyps = tuple(
-        h if h.selected or not (free_identifiers(h.predicate) & shared) else replace(h, selected=True)
-        for h in sequent.hypotheses
-    )
-    pos = Hypothesis(sequent.fresh_label("case+", primed=True), predicate, selected=True)
-    neg = Hypothesis(sequent.fresh_label("case-", primed=True), Not(predicate), selected=True)
-    return (
-        Sequent(hyps + (pos,), sequent.goal),
-        Sequent(hyps + (neg,), sequent.goal),
-    )
-
-
-def apply_hint(sequent: Sequent, hint: Hint) -> tuple[Sequent, ...] | None:
-    """The sequents that replace ``sequent`` under a hint: a use hint
-    widens the selection by its label (`tactic_select`), a split hint
-    gives the two `case_sequents`.  None when the used label is not a
-    hypothesis."""
-    if hint.kind == USE_HYPOTHESIS:
-        assert hint.label is not None
-        selected = tactic_select(sequent, hint.label)
-        return None if selected is None else (selected,)
-    assert hint.predicate is not None
-    return case_sequents(sequent, hint.predicate)
-
-
-def apply_hints_pog(poset: PoSet) -> tuple[PoSet, list[Diagnostic]]:
-    """Rewrite each obligation by its hint (see `apply_hint`), leaving
-    none with a hint; a split obligation is replaced by its case
-    children ``/case1`` and ``/case2``."""
-    out: list[ProofObligation] = []
-    diags: list[Diagnostic] = []
-    for po in poset.obligations:
-        hint = po.hint
-        if hint is None:
-            out.append(po)
-            continue
-        sequents = apply_hint(po.sequent, hint)
-        if sequents is None:
-            diags.append(
-                Diagnostic(
-                    "unresolved-hint-label",
-                    f"hint label {hint.label!r} is not a hypothesis of {po.name}",
-                    hint.loc,
-                )
-            )
-            out.append(replace(po, hint=None))
-        elif len(sequents) == 1:
-            out.append(replace(po, sequent=sequents[0], hint_applied=print_hint(hint), hint=None))
-        else:
-            for suffix, seq in zip(("/case1", "/case2"), sequents):
-                out.append(ProofObligation(po.name + suffix, po.kind, seq, print_hint(hint)))
-    return PoSet(poset.source_machine, tuple(out)), diags
 
 
 # --- misc --------------------------------------------------------------------

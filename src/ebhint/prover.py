@@ -5,6 +5,10 @@ A sequent is first expanded with the safe structural tactics
 hints widen the hypothesis selection or split the proof into cases, and
 each remaining leaf is closed either syntactically or by `decide`.
 
+The hint interpreter is `apply_hint` (`tactic_select` for a use hint,
+`case_sequents` for a split): `prove_obligation` runs it on each leaf in
+tactic mode, and `apply_hints_pog` rewrites the obligations in pog mode.
+
 `decide` refutes the conjunction of the selected hypotheses and the
 negated goal.  Membership is elaborated into arithmetic (memberships in
 declared carrier sets stay opaque), and the result is put in negation
@@ -41,6 +45,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
+from .diagnostics import Diagnostic
 from .formula import (
     And,
     Comparison,
@@ -71,13 +76,13 @@ from .formula import (
     substitute,
 )
 from .model import (
+    Hint,
     Hypothesis,
+    PoSet,
     ProofObligation,
     Sequent,
     USE_HYPOTHESIS,
 )
-# case_sequents and tactic_select are the hint tactics, public here as well
-from .pog import apply_hint, case_sequents, tactic_select  # noqa: F401
 from .printer import print_formula, print_hint
 
 PROVED = "proved"
@@ -740,6 +745,77 @@ def tactic_lasso(sequent: Sequent) -> tuple[Sequent, int]:
                 added += 1
                 changed = True
     return Sequent(tuple(hyps), sequent.goal), added
+
+
+# --- hint application ---------------------------------------------------------
+
+
+def tactic_select(sequent: Sequent, label: str) -> Sequent | None:
+    if sequent.get(label) is None:
+        return None
+    return sequent.select({label})
+
+
+def case_sequents(sequent: Sequent, predicate: Predicate) -> tuple[Sequent, Sequent]:
+    """Split a sequent on a case predicate.
+
+    Both results additionally select every hypothesis sharing an
+    identifier with the predicate, then one gains the predicate as
+    hypothesis ``case+`` and the other its negation as ``case-``.
+    """
+    shared = free_identifiers(predicate)
+    hyps = tuple(
+        h if h.selected or not (free_identifiers(h.predicate) & shared) else replace(h, selected=True)
+        for h in sequent.hypotheses
+    )
+    pos = Hypothesis(sequent.fresh_label("case+", primed=True), predicate, selected=True)
+    neg = Hypothesis(sequent.fresh_label("case-", primed=True), Not(predicate), selected=True)
+    return (
+        Sequent(hyps + (pos,), sequent.goal),
+        Sequent(hyps + (neg,), sequent.goal),
+    )
+
+
+def apply_hint(sequent: Sequent, hint: Hint) -> tuple[Sequent, ...] | None:
+    """The sequents that replace ``sequent`` under a hint: a use hint
+    widens the selection by its label (`tactic_select`), a split hint
+    gives the two `case_sequents`.  None when the used label is not a
+    hypothesis."""
+    if hint.kind == USE_HYPOTHESIS:
+        assert hint.label is not None
+        selected = tactic_select(sequent, hint.label)
+        return None if selected is None else (selected,)
+    assert hint.predicate is not None
+    return case_sequents(sequent, hint.predicate)
+
+
+def apply_hints_pog(poset: PoSet) -> tuple[PoSet, list[Diagnostic]]:
+    """Rewrite each obligation by its hint (see `apply_hint`), leaving
+    none with a hint; a split obligation is replaced by its case
+    children ``/case1`` and ``/case2``."""
+    out: list[ProofObligation] = []
+    diags: list[Diagnostic] = []
+    for po in poset.obligations:
+        hint = po.hint
+        if hint is None:
+            out.append(po)
+            continue
+        sequents = apply_hint(po.sequent, hint)
+        if sequents is None:
+            diags.append(
+                Diagnostic(
+                    "unresolved-hint-label",
+                    f"hint label {hint.label!r} is not a hypothesis of {po.name}",
+                    hint.loc,
+                )
+            )
+            out.append(replace(po, hint=None))
+        elif len(sequents) == 1:
+            out.append(replace(po, sequent=sequents[0], hint_applied=print_hint(hint), hint=None))
+        else:
+            for suffix, seq in zip(("/case1", "/case2"), sequents):
+                out.append(ProofObligation(po.name + suffix, po.kind, seq, print_hint(hint)))
+    return PoSet(poset.source_machine, tuple(out)), diags
 
 
 def _expand(sequent: Sequent, trace: list[TraceStep]) -> list[Sequent]:

@@ -15,11 +15,12 @@ import pytest
 from conftest import FIXTURE_FILES, FIXTURES, run_cli, statuses_from
 from ebhint.model import Model
 from ebhint.parser import load_model, parse_predicate
-from ebhint.pog import apply_hints_pog, generate, normalize_deterministic_ba
+from ebhint.pog import generate, normalize_deterministic_ba
 from ebhint.printer import pretty_print
 from ebhint.prover import (
     PROVED,
     UNPROVED,
+    apply_hints_pog,
     decide,
     prove_obligation,
     tactic_lasso,

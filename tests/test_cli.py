@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 import weakref
 from pathlib import Path
 
@@ -93,7 +94,7 @@ def test_check_machine_that_sees_a_context(tmp_path):
         "  event e\n  where\n    g1: x < k\n  then\n    a1: x := x + 1\n  end\nend\n"
     )
     result = run_cli("check", str(machine))
-    assert (result.exit_code, result.output) == (0, "")
+    assert (result.exit_code, result.output) == (0, ""), repr(result.exception)
     # a repeated label and an unknown name in the seen context
     ctx.write_text("context c1 extends c0\nconstants m\naxioms\n  ax1: m = q\nend\n")
     result = run_cli("check", str(machine))
@@ -165,6 +166,33 @@ def test_check_parses_each_file_of_a_chain_once(monkeypatch, tmp_path):
         assert run_cli("check", *map(str, order)).exit_code == 0
         assert sorted(Path(path).resolve() for path in parsed) == sorted(f.resolve() for f in files)
 
+
+
+# deeper than Python's recursion limit: loading must not recurse per level
+DEEP = sys.getrecursionlimit() + 200
+
+
+def test_check_deep_extends_chain(tmp_path):
+    for level in range(DEEP):
+        extends = f" extends c{level - 1}" if level else ""
+        (tmp_path / f"c{level}.ebh").write_text(f"context c{level}{extends}\nconstants k{level}\nend\n")
+    path = tmp_path / "m.ebh"
+    path.write_text(f"machine m sees c{DEEP - 1}\nvariables x\ninvariants\n  i1: x = k0\nevents\nend\n")
+    result = run_cli("check", str(path))
+    assert (result.exit_code, result.output) == (0, ""), repr(result.exception)
+
+
+def test_prove_deep_refinement_chain(tmp_path):
+    for level in range(DEEP):
+        refines = f" refines m{level - 1}" if level else ""
+        (tmp_path / f"m{level}.ebh").write_text(f"machine m{level}{refines}\nevents\nend\n")
+    path = tmp_path / "top.ebh"
+    path.write_text(
+        f"machine top refines m{DEEP - 1}\nvariables x\ninvariants\n  i1: x >= 0\nevents\n"
+        "  initialisation\n  then\n    a1: x := 0\n  end\nend\n"
+    )
+    result = run_cli("prove", str(path))
+    assert (result.exit_code, result.output) == (0, "PROVED INITIALISATION/i1/INV\nsummary: 1 obligations, 1 proved, 0 unproved, 0 unsupported\n"), repr(result.exception)
 
 # --- pos -----------------------------------------------------------------------
 

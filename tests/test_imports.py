@@ -14,10 +14,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ebhint"
 
-# prover re-exports the hint tactics, as the comment on its import says
-REEXPORTS = {"prover.py": {"case_sequents", "tactic_select"}}
-
-
 def _exported(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -35,7 +31,7 @@ def test_no_unused_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    unused = imported - used - _exported(tree) - REEXPORTS.get(path.name, set())
+    unused = imported - used - _exported(tree)
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
 
 

@@ -302,6 +302,10 @@ ROUND_TRIP_SOURCES = {
         "machine c\nrefines a\nvariables y\ninvariants\n  ic1: y in INT\nevents\n"
         "  event step refines step\n  with\n    x': x' = y + 1\n  then\n    a2: y := y + 1\n  end\nend\n"
     ),
+    "parameters": (
+        "machine m\nvariables x\ninvariants\n  i1: x in INT or false\nevents\n"
+        "  event step\n  any p q\n  where\n    g1: p < q & true\n  then\n    a1: x := p\n  end\nend\n"
+    ),
 }
 
 

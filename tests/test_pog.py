@@ -25,14 +25,12 @@ from ebhint.parser import load_model, parse_predicate, parse_source
 from ebhint.pog import (
     _label_positions,
     _select_at,
-    apply_hints_pog,
     before_after,
-    case_sequents,
     generate,
     normalize_deterministic_ba,
 )
 from ebhint.printer import pretty_print, print_formula
-from ebhint.prover import prove_obligation
+from ebhint.prover import apply_hints_pog, case_sequents, prove_obligation
 from ebhint.wellformed import wellformed
 
 

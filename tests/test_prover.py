@@ -10,7 +10,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_FILES, FIXTURES
@@ -18,13 +18,15 @@ from ebhint import prover
 from ebhint.formula import Or, Truth, balanced, evaluate
 from ebhint.model import Hypothesis, Sequent
 from ebhint.parser import load_model, parse_predicate
-from ebhint.pog import apply_hints_pog, case_sequents, generate
+from ebhint.pog import generate
 from ebhint.prover import (
     PROVED,
     UNPROVED,
     UNSUPPORTED,
     Decision,
     ProveOptions,
+    apply_hints_pog,
+    case_sequents,
     decide,
     intro,
     one_point,
@@ -344,8 +346,18 @@ def _difference_system(names):
     )
 
 
+def _edges(*edges):
+    """The assignment whose rows are the edges (u, v, w), x_v - x_u <= w,
+    in order."""
+    return {prover._atom({v: 1, u: -1}, w)[1]: True for u, v, w in edges}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_difference_system(("a", "b", "c", "d", "e")), _linear_system(("a", "b", "c")))
+# the last edge lowers v, and Dijkstra reaches a first from v (-5), then
+# at its shortest drop through b (-10); the stale entry for a must not
+# raise it again
+@example(_edges(("v", "a", 5), ("v", "b", 0), ("b", "a", 0), ("u", "v", -10)), {})
 def test_difference_graph_agrees_with_fourier_motzkin(assignment, other):
     search = prover._Search(None)
     graph = prover._check(prover._ROOT, assignment, search)

@@ -56,12 +56,14 @@ def test_export_labels_every_assertion():
 
 
 def test_export_trivial_goal():
-    script = export_smt(mk_po([], Truth()))
+    script = export_smt(mk_po(["false or x = 1"], Truth()))
     assert "(assert (not true))" in script
+    assert "(assert (or false (= x 1)))" in script
 
 
 def test_export_negative_literal_rendering():
-    script = export_smt(mk_po([], "x <= -5"))
+    script = export_smt(mk_po(["-x < 1"], "x <= -5"))
+    assert "(assert (< (- x) 1))" in script
     assert "(assert (not (<= x (- 5))))" in script
 
 
