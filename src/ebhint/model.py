@@ -8,7 +8,7 @@ the file a loaded machine or context came from never take part in equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import count
+from itertools import count, zip_longest
 from typing import Iterator
 
 from .formula import Formula, Ident, Loc, Predicate, numbered
@@ -137,17 +137,41 @@ class Context:
     constant_locs: tuple[Loc, ...] = field(default=(), kw_only=True, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Model:
     """A machine bundled with everything it can see.
 
     ``contexts`` is the flattened visibility chain, base first.
-    ``abstract`` is the model of the refined machine, when any.
+    ``abstract`` is the model of the refined machine, when any.  A
+    refines chain can be deeper than the recursion limit, so equality,
+    hashing and ``repr`` loop over `levels` instead of recursing.
     """
 
     machine: Machine
     contexts: tuple[Context, ...] = ()
     abstract: "Model | None" = None
+
+    def levels(self) -> Iterator["Model"]:
+        """This model, the model it refines, and so on."""
+        level: Model | None = self
+        while level is not None:
+            yield level
+            level = level.abstract
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            a is not None and b is not None and (a.machine, a.contexts) == (b.machine, b.contexts)
+            for a, b in zip_longest(self.levels(), other.levels())
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple((level.machine, level.contexts) for level in self.levels()))
+
+    def __repr__(self) -> str:
+        heads = [f"Model(machine={m.machine!r}, contexts={m.contexts!r}, abstract=" for m in self.levels()]
+        return "".join(heads) + "None" + ")" * len(heads)
 
     # -- identifier scopes --------------------------------------------------
 

@@ -27,6 +27,7 @@ from typing import Iterable, NamedTuple
 
 from .formula import (
     Comparison,
+    Formula,
     Ident,
     Membership,
     Predicate,
@@ -306,54 +307,40 @@ def _ba_equation(h: Hypothesis) -> Comparison | None:
 
 
 def normalize_deterministic_ba(sequent: Sequent) -> Sequent:
-    """Inline deterministic before-after equations.
+    """Inline deterministic before-after equations: take the first
+    ``BA:`` hypothesis ``x' = E`` whose ``E`` is prime-free, substitute
+    it into the rest of the sequent, drop it, and scan again.  An ``E``
+    may become prime-free on the way; a later equation of a name taken
+    becomes ``E1 = E2``.
 
-    Every ``BA:`` hypothesis of the shape ``x' = E`` with prime-free
-    ``E`` is substituted into the rest of the sequent and dropped, as if
-    the first such equation were inlined, the sequent scanned again, and
-    so on; an ``E`` may become prime-free on the way.  Each pass inlines
-    at once every such equation that is the first of its name.  A pass
-    takes only the first one, as the scan would, in two cases: while a
-    name's first equation still holds primes and a later one of that
-    name could be taken before it; and in every pass when a quantifier
-    binds a name that some ``E`` holds, because capture renaming then
-    picks a fresh name that depends on the order.
+    The replacements go in together, except when a quantifier binds a
+    name that one of them holds: capture renaming then picks names that
+    depend on the order, so they go in one at a time, in the order taken.
     """
     hyps = sequent.hypotheses
-    goal = sequent.goal
-    incoming = {k for h in hyps if (p := _ba_equation(h)) for k in free_identifiers(p.right)}
-    bound = {
-        b.key
-        for f in (goal, *(h.predicate for h in hyps))
+    waiting = [
+        (i, p, {k for k in free_identifiers(p.right) if k.endswith("'")})
+        for i, h in enumerate(hyps)
+        if (p := _ba_equation(h))
+    ]
+    taken: dict[str, Formula] = {}  # x' -> prime-free E, in the order taken
+    dropped: set[int] = set()
+    while ready := next(((i, p, primed) for i, p, primed in waiting if primed <= taken.keys()), None):
+        i, p, primed = ready
+        taken[p.left.key] = substitute(p.right, taken) if primed else p.right
+        dropped.add(i)
+        waiting = [e for e in waiting if e[1].left.key not in taken]
+    rest = [h for i, h in enumerate(hyps) if i not in dropped]
+    held = {k for e in taken.values() for k in free_identifiers(e)}
+    captures = any(
+        b.key in held
+        for f in (sequent.goal, *(h.predicate for h in rest))
         for q in walk(f)
         if isinstance(q, Quantifier)
         for b in q.binders
-    }
-    in_order = not incoming.isdisjoint(bound)
-    while True:
-        first: dict[str, int] = {}  # name -> position of its first equation
-        repeated: set[str] = set()
-        ready: set[int] = set()
-        for i, h in enumerate(hyps):
-            p = _ba_equation(h)
-            if p is None:
-                continue
-            if p.left.key in first:
-                repeated.add(p.left.key)
-            else:
-                first[p.left.key] = i
-            if not any(k.endswith("'") for k in free_identifiers(p.right)):
-                ready.add(i)
-        if not ready:
-            return Sequent(tuple(hyps), goal)
-        if in_order or any(first[k] not in ready for k in repeated):
-            taken = {min(ready)}
-        else:
-            taken = {i for i in ready if first[hyps[i].predicate.left.key] == i}
-        mapping = {hyps[i].predicate.left.key: hyps[i].predicate.right for i in sorted(taken)}
-        hyps = [
-            Hypothesis(g.label, substitute(g.predicate, mapping), g.selected)
-            for j, g in enumerate(hyps)
-            if j not in taken
-        ]
+    )
+    goal = sequent.goal
+    for mapping in [{k: e} for k, e in taken.items()] if captures else [taken]:
+        rest = [Hypothesis(h.label, substitute(h.predicate, mapping), h.selected) for h in rest]
         goal = substitute(goal, mapping)
+    return Sequent(tuple(rest), goal)

@@ -17,7 +17,7 @@ variables alone.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .diagnostics import Diagnostic, sort_key
 from .formula import (
@@ -144,14 +144,6 @@ class _Checker:
             else:
                 msg = f"{what} must be {expected}, found {actual}"
             self.report("type-error", msg, f.loc)
-
-
-def _levels(model: Model) -> Iterator[Model]:
-    """The model, the model it refines, and so on."""
-    level: Model | None = model
-    while level is not None:
-        yield level
-        level = level.abstract
 
 
 def _set_typed(levels: list[Model]) -> set[str]:
@@ -454,7 +446,7 @@ def wellformed(model: Model) -> list[Diagnostic]:
     Returns diagnostics sorted by source position; an empty list means
     the model is well-formed.
     """
-    levels = list(_levels(model))
+    levels = list(model.levels())
     checker = _Checker(_set_typed(levels))
     checked: set[str] = set()
     for level in levels:
@@ -475,7 +467,7 @@ def check_new_events(model: Model) -> list[Diagnostic]:
     that the machine it refines declares; in event and action order,
     the model's own level first."""
     diags: list[Diagnostic] = []
-    for level in _levels(model):
+    for level in model.levels():
         if level.abstract is None:
             continue
         abstract_vars = set(level.abstract.machine.variables)

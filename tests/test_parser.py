@@ -156,6 +156,8 @@ def test_list_and_target_messages():
         parse_source(events.format(":="))
     with pytest.raises(ParseError, match=r"^<string>:6:14: syntax: '::' takes exactly one target$"):
         parse_source(events.format("::"))
+    with pytest.raises(ParseError, match=r"^<string>:6:11: syntax: expected ':=', '::' or ':\|'$"):
+        parse_source("machine m\nvariables x\nevents\n  event e\n  then\n    a1: x 1\n  end\nend\n")
 
 
 def test_initialisation_is_a_reserved_event_name():

@@ -203,6 +203,15 @@ def test_normalization_of_a_wfis_goal_whose_binder_a_replacement_captures():
     assert free_identifiers(normal.goal) == {"q", "q1"}
 
 
+def test_normalization_renames_a_hypothesis_binder_in_the_order_taken():
+    # q is captured by x' := q and renamed q1, which y' := q1 then
+    # captures too; one substitution of both would rename q to q2
+    seq = ba_sequent([("BA:x", "x' = q"), ("BA:y", "y' = q1"), ("h", "forall q . x' + y' <= q")], "x' > 0")
+    normal = normalize_deterministic_ba(seq)
+    assert normal == sequential_normalization(seq)
+    assert normal == ba_sequent([("h", "forall q11 . q + q1 <= q11")], "q > 0")
+
+
 def test_normalization_equals_the_sequential_scan_on_every_generated_obligation():
     models = [load(name) for name in FIXTURE_FILES]
     models += [load_model(path)[0] for path in sorted(MODELS.glob("*.ebh"))]
@@ -217,7 +226,7 @@ def test_normalization_equals_the_sequential_scan_on_every_generated_obligation(
 
 _KEYS = ("a'", "b'", "c'")
 _ba_terms = st.one_of(
-    st.sampled_from(_KEYS + ("a", "b", "q")).map(lambda k: Ident(k.rstrip("'"), primed=k.endswith("'"))),
+    st.sampled_from(_KEYS + ("a", "b", "q", "q1")).map(lambda k: Ident(k.rstrip("'"), primed=k.endswith("'"))),
     st.integers(-3, 3).map(IntLiteral),
 )
 _ba_exprs = st.lists(_ba_terms, min_size=1, max_size=3).map(lambda ts: ts[0] if len(ts) == 1 else Add(ts[0], ts[1]))
@@ -226,7 +235,8 @@ _ba_exprs = st.lists(_ba_terms, min_size=1, max_size=3).map(lambda ts: ts[0] if 
 @st.composite
 def ba_equation_sequents(draw) -> Sequent:
     """Sequents of ``BA:`` equations over a few primed names, with
-    repeated names, equations that wait for others, and a goal that may
+    repeated names, equations that wait for others, up to two quantified
+    hypotheses that bind ``q``, ``a`` or ``b'``, and a goal that may
     bind ``q`` or ``a``."""
     hyps = []
     for i in range(draw(st.integers(0, 6))):
@@ -234,6 +244,11 @@ def ba_equation_sequents(draw) -> Sequent:
         left = Ident(key[:-1], primed=True)
         label = draw(st.sampled_from(("BA:" + key[:-1], f"h{i}")))
         hyps.append(Hypothesis(label, Comparison("=", left, draw(_ba_exprs)), draw(st.booleans())))
+    for i in range(draw(st.integers(0, 2))):
+        binder = draw(st.sampled_from(("q", "a", "b'")))
+        body = Comparison("<=", draw(_ba_exprs), draw(_ba_exprs))
+        quantified = Quantifier("forall", (Ident(binder.rstrip("'"), primed=binder.endswith("'")),), body)
+        hyps.insert(draw(st.integers(0, len(hyps))), Hypothesis(f"q{i}", quantified, draw(st.booleans())))
     goal = Comparison("<=", draw(_ba_exprs), draw(_ba_exprs))
     binder = draw(st.sampled_from((None, "q", "a")))
     if binder is not None:

@@ -137,6 +137,11 @@ ORACLE_CASES = [
     (("-x <= 2",), "x >= 0", {"x": -1}),
     (("x * 3 <= 6",), "x <= 2", None),
     (("x * 3 >= 7",), "x >= 4", {"x": 3}),
+    (("false",), "x > 0", None),
+    ((), "true or x > 0", None),
+    (("not false",), "x > 0", {"x": 0}),
+    ((), "x in INT", None),
+    (("x in INT",), "x > 0", {"x": 0}),
 ]
 
 
@@ -576,11 +581,14 @@ def test_shared_memo_gives_the_same_search(extra, data):
 
 def test_one_point_direct_equality():
     assert one_point(p("exists q . q = r")) == Truth()
+    assert one_point(p("exists y . 3 = y & y > 0")) == p("3 > 0")  # the binder on the right
 
 
 def test_one_point_partial_elimination():
     got = one_point(p("exists v' . v' = w' + 1 & v' >= 0"))
     assert got == p("w' + 1 >= 0")
+    # a binder that no conjunct pins stays
+    assert one_point(p("exists y z . y = z + 1 & z > 0")) == p("exists z . z > 0")
 
 
 def test_one_point_inapplicable():

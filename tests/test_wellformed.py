@@ -321,6 +321,9 @@ DIAGNOSTICS = [
     ("type-error minus operand", _machine("", "  i1: -(x = 1) = 0\n"), {}, [
         "<model>:4:11: type-error: arithmetic operand must be integer, found boolean",
     ]),
+    ("type-error boolean literal operand", _machine("", "  i1: x + true = 0\n"), {}, [
+        "<model>:4:11: type-error: arithmetic operand must be integer, found boolean",
+    ]),
     ("nonlinear-multiplication", _machine("", "  i1: x * y = 0\n"), {}, [
         '<model>:4:9: nonlinear-multiplication: multiplication needs an integer literal operand',
     ]),
@@ -415,6 +418,9 @@ DIAGNOSTICS = [
         "<model>:8:5: hint-target: hint target 't1' must name an invariant of this machine, not a theorem or axiom",
     ]),
     ("unresolved-hint-label", _machine(_event("  hints\n    use nosuch for i1\n")), {}, [
+        "<model>:8:5: unresolved-hint-label: unresolved hint label 'nosuch'",
+    ]),
+    ("unresolved-hint-label target", _machine(_event("  hints\n    use i1 for nosuch\n")), {}, [
         "<model>:8:5: unresolved-hint-label: unresolved hint label 'nosuch'",
     ]),
     # a primed and an unknown identifier in each kind of scope
