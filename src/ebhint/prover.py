@@ -29,6 +29,8 @@ Fourier-Motzkin row set (coefficients -> tightest bound), which each
 node copies, extends and eliminates again.  A check ticks once per
 variable (Fourier-Motzkin stops at the stage that gives a false row),
 and a model's sample comes from one Fourier-Motzkin back-substitution.
+The clock is read at each tick and, as a stage ticks only when it ends,
+once per lower-bound row of an elimination; the cap cannot stop one.
 Hypothesis NNFs are kept in a `Memo`, which one `prove` run shares
 across its obligations.
 
@@ -288,9 +290,9 @@ BRANCH_CAP = 1 << 16
 
 
 class _Search:
-    """The budget of one `decide` call: the branches and theory ticks
-    visited so far, and the deadline.  A search node carries its own
-    literals and theory state, so nothing here belongs to one node."""
+    """The budget of one `decide` call: `tick` counts branches and theory
+    ticks toward `BRANCH_CAP` and reads the clock against the deadline.
+    A search node carries its own literals and theory state."""
 
     def __init__(self, deadline: float | None) -> None:
         self.deadline = deadline
@@ -301,9 +303,6 @@ class _Search:
         if self.visited > BRANCH_CAP:
             self.visited = BRANCH_CAP + 1  # where ticking one at a time stops
             raise _Stop(UNPROVED, "branch cap exceeded")
-        self.check_deadline()
-
-    def check_deadline(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _Stop(UNPROVED, "timeout")
 
@@ -502,7 +501,6 @@ def _relax(graph: _Graph, edges: list, search: _Search) -> _Graph | None:
         gap = pi[u] + w - pi[v]
         if gap >= 0:
             continue
-        search.check_deadline()
         # each vertex reached drops by gap plus its reduced distance from
         # v, while that stays negative
         lowered: dict[str, int] = {}
@@ -535,7 +533,6 @@ def _extend(rows: dict, new: list[_Row], search: _Search) -> dict | None:
     A state is never changed once built."""
     rows = dict(rows)
     for coeffs, bound in new:
-        search.check_deadline()
         # of two rows with equal coefficients the tighter one implies
         # the other, so only that one is kept
         if rows.get(coeffs, bound) >= bound:
@@ -556,7 +553,6 @@ def _eliminate(rows: dict, search: _Search) -> tuple[list[tuple[str, dict]], boo
         stages.append((name, current))
         lowers, uppers, rest = [], [], {}
         for coeffs, bound in current.items():
-            search.check_deadline()
             if coeffs[0][0] != name:
                 rest[coeffs] = bound
             elif coeffs[0][1] > 0:
@@ -565,8 +561,8 @@ def _eliminate(rows: dict, search: _Search) -> tuple[list[tuple[str, dict]], boo
                 lowers.append((coeffs, bound))
         for lc, lb in lowers:
             la = -lc[0][1]
+            search.tick(0)  # a stage ticks only when it ends; read the clock meanwhile
             for uc, ub in uppers:
-                search.check_deadline()
                 ua = uc[0][1]
                 combined = {k: v * la for k, v in uc[1:]}
                 for k, v in lc[1:]:

@@ -387,7 +387,7 @@ def _check_hints(
                     h.loc,
                 )
             else:
-                checker.report("unresolved-hint-label", f"unresolved hint label {h.target!r}", h.loc)
+                checker.report("hint-target", f"hint target {h.target!r} names no invariant of this machine", h.loc)
         if h.kind == USE_HYPOTHESIS:
             assert h.label is not None
             if h.label not in fact_labels:

@@ -561,6 +561,11 @@ def test_json_writer_empty_and_nested_containers():
     assert cli.to_json(value) == json.dumps(value, indent=2)
 
 
+def test_json_writer_rejects_other_objects():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        cli.to_json({"a": [object()]})
+
+
 # --- interface basics -------------------------------------------------------------
 
 

@@ -111,6 +111,11 @@ def test_evaluate_named_set_raises():
         evaluate(Membership(Ident("x"), Ident("S")), {"x": 1, "S": 0})
 
 
+def test_evaluate_quantifier_raises():
+    with pytest.raises(Unevaluable):
+        evaluate(Quantifier("exists", (Ident("y"),), Comparison(">", Ident("y"), IntLiteral(0))), {})
+
+
 def test_walk_preorder():
     f = And(Truth(), Comparison("=", Ident("a"), IntLiteral(1)))
     kinds = [type(n).__name__ for n in walk(f)]

@@ -339,6 +339,20 @@ def test_guard_strengthening_obligation():
     assert grd_hyp is not None and grd_hyp.selected
 
 
+def test_refining_a_missing_abstract_event_builds_no_grd_or_sim():
+    """`wellformed` reports `unknown-event`; `generate` on the unchecked
+    model still runs, and has no abstract guard or action to refine."""
+    abstract = "machine a\nvariables x\nevents\n  event other\n  then\n    a1: x := 0\n  end\nend\n"
+    concrete = (
+        "machine c refines a\nvariables x\ninvariants\n  i1: x in INT\nevents\n"
+        "  event step refines ghost\n  where\n    g1: x >= 1\n  then\n"
+        "    a1: x := x + 1\n  end\nend\n"
+    )
+    model = Model(machine=parse_source(concrete), abstract=Model(machine=parse_source(abstract)))
+    names = [po.name for po in generate(model).obligations if po.name.startswith("step/")]
+    assert names == ["step/i1/INV"]
+
+
 def test_wfis_obligation_shape():
     abstract = (
         "machine a\nvariables x y\ninvariants\n  ia1: x in INT\n  ia2: y in INT\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_FILES, FIXTURES
 from ebhint import prover
-from ebhint.formula import Or, Truth, balanced, evaluate
+from ebhint.formula import Ident, Or, Truth, balanced, evaluate
 from ebhint.model import Hypothesis, Sequent
 from ebhint.parser import load_model, parse_predicate
 from ebhint.pog import generate
@@ -93,9 +94,11 @@ def test_decide_nonlinear_unsupported():
 @pytest.mark.parametrize("goal, reason", [
     ("x + {1} = 0", "set-valued term in arithmetic position: {1}"),
     ("x in y + 1", "membership in y + 1"),
+    (Ident("x"), "cannot decide x"),  # a term as the goal, built in code
 ])
 def test_decide_unsupported_terms(goal, reason):
-    assert decide((), p(goal)) == Decision(UNSUPPORTED, reason)
+    goal = p(goal) if isinstance(goal, str) else goal
+    assert decide((), goal) == Decision(UNSUPPORTED, reason)
 
 
 def test_decide_reports_no_countermodel_it_cannot_confirm(monkeypatch):
@@ -165,23 +168,83 @@ def fourier_motzkin(assignment, search):
     return (False, None) if theory is None else (True, prover._sample(theory, search))
 
 
-def test_fm_checks_deadline_per_row_pair_without_ticking():
-    class Counting(prover._Search):
-        deadline_checks = 0
+def test_fm_reads_the_clock_once_per_lower_bound_row():
+    class Recording(prover._Search):
+        def tick(self, n=1):
+            self.ticks.append(n)
+            super().tick(n)
 
-        def check_deadline(self):
-            self.deadline_checks += 1
-
-    # three lower and three upper bounds on x, eliminated in one step
+    # three lower and three upper bounds on x, eliminated in one step;
+    # every row they combine into is an upper bound on y
     assignment = {}
     for k in range(3):
-        assignment[("lin", (("x", -1), ("y", 1)), k)] = True
-        assignment[("lin", (("x", 1),), 5 + k)] = True
-    search = Counting(None)
-    feasible, _ = fourier_motzkin(assignment, search)
-    assert feasible
-    assert search.visited == 2  # one tick per eliminated variable, x and y
-    assert search.deadline_checks >= search.visited + 9
+        assignment[("lin", (("x", -1), ("y", k + 1)), k)] = True
+        assignment[("lin", (("x", 1),) + ((("y", k),) if k else ()), 5 + k)] = True
+    search = Recording(None)
+    search.ticks = []
+    assert prover._extend({}, prover._rows(assignment), search) is not None
+    # one read per lower-bound row of x, then one tick per eliminated
+    # variable, x and y
+    assert search.ticks == [0, 0, 0, 2]
+    assert search.visited == 2
+
+
+# 24 random rows of three variables over v0..v9 (random.Random(7)) whose
+# elimination blows up.  Never decide them without a deadline: that ran
+# past 30 s with `visited` still 1, as a stage ticks only when it ends.
+BLOWUP_ROWS = (
+    "-3 * v5 + 1 * v2 + 1 * v6 <= 17",
+    "-2 * v1 + 2 * v5 + 1 * v0 <= 2",
+    "2 * v6 + 1 * v9 + -2 * v1 <= 13",
+    "-3 * v0 + -3 * v1 + -2 * v3 <= 1",
+    "2 * v9 + 1 * v6 + -2 * v0 <= 4",
+    "-2 * v4 + 1 * v6 + -2 * v2 <= 9",
+    "-2 * v8 + -2 * v2 + -3 * v1 <= 6",
+    "-2 * v5 + 1 * v1 + -2 * v8 <= 6",
+    "3 * v7 + -1 * v8 + -2 * v6 <= 14",
+    "2 * v5 + -3 * v4 + 2 * v3 <= 2",
+    "3 * v9 + -3 * v4 + -1 * v7 <= 9",
+    "-2 * v9 + -1 * v1 + 2 * v8 <= 10",
+    "1 * v2 + -3 * v7 + 1 * v6 <= 17",
+    "-3 * v9 + 3 * v5 + -2 * v8 <= 15",
+    "1 * v9 + 3 * v7 + -1 * v1 <= 2",
+    "3 * v0 + -3 * v4 + -1 * v7 <= 11",
+    "2 * v0 + -2 * v7 + 1 * v5 <= 15",
+    "2 * v0 + -3 * v3 + 2 * v4 <= 12",
+    "2 * v6 + -1 * v7 + -1 * v1 <= 17",
+    "-2 * v4 + 3 * v2 + -3 * v6 <= 13",
+    "2 * v5 + 1 * v6 + 2 * v3 <= 4",
+    "-1 * v3 + -2 * v9 + 2 * v0 <= 8",
+    "-1 * v4 + -2 * v0 + 3 * v2 <= 19",
+    "-3 * v9 + -2 * v5 + -2 * v2 <= 20",
+)
+
+
+def test_fm_blowup_ends_at_the_deadline(monkeypatch):
+    searches = []
+
+    class Kept(prover._Search):
+        def __init__(self, deadline):
+            super().__init__(deadline)
+            searches.append(self)
+
+    def give_up(signum, frame):
+        raise AssertionError("decide read no clock for 5 s")
+
+    monkeypatch.setattr(prover, "_Search", Kept)
+    # a decide that misses its deadline would not end: fail instead
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    start = time.perf_counter()
+    try:
+        d = decide(tuple(p(r) for r in BLOWUP_ROWS), p("v0 <= 1000"), deadline=start + 0.2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    assert (d.status, d.reason) == (UNPROVED, "timeout")
+    assert elapsed < 0.7, elapsed
+    assert [s.visited for s in searches] == [1]
 
 
 # The pathological sequents of the benchmark's decide workload, as text.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from conftest import FIXTURES
-from ebhint.formula import Truth
+from ebhint.formula import Ident, Membership, SetLiteral, Truth
 from ebhint.model import Hypothesis, ProofObligation, Sequent
 from ebhint.parser import load_model, parse_predicate
 from ebhint.pog import generate
@@ -102,3 +102,8 @@ def test_export_primed_identifiers_are_quoted():
 def test_export_int_membership_is_true():
     script = export_smt(mk_po([], "x in INT"))
     assert "(assert (not true))" in script
+
+
+def test_export_empty_set_literal_membership_is_false():
+    script = export_smt(mk_po([], Membership(Ident("x"), SetLiteral(()))))
+    assert "(assert (not false))" in script

@@ -420,8 +420,8 @@ DIAGNOSTICS = [
     ("unresolved-hint-label", _machine(_event("  hints\n    use nosuch for i1\n")), {}, [
         "<model>:8:5: unresolved-hint-label: unresolved hint label 'nosuch'",
     ]),
-    ("unresolved-hint-label target", _machine(_event("  hints\n    use i1 for nosuch\n")), {}, [
-        "<model>:8:5: unresolved-hint-label: unresolved hint label 'nosuch'",
+    ("hint-target unknown", _machine(_event("  hints\n    use i1 for nosuch\n")), {}, [
+        "<model>:8:5: hint-target: hint target 'nosuch' names no invariant of this machine",
     ]),
     # a primed and an unknown identifier in each kind of scope
     ("primed-identifier invariant", _machine("", "  i1: x' = 0\n"), {}, [
