@@ -74,6 +74,14 @@ def to_json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class _Quoted(dict):
+    """Each string's JSON encoding, made on first use."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = quoted = encode_basestring_ascii(text)
+        return quoted
+
+
 def _report_diagnostics(diags: list[Diagnostic]) -> None:
     for d in diags:
         click.echo(d.render())
@@ -142,33 +150,51 @@ def check(files: tuple[str, ...]) -> None:
     help="Output format.",
 )
 def pos(file: str, hint_mode: str, fmt: str) -> None:
-    """List the proof obligations of FILE."""
+    """List the proof obligations of FILE.
+
+    The INV obligations of one invariant share its primed goal object
+    across events, so each goal object is printed once, keyed by
+    identity: the poset keeps every goal alive until the command ends.
+    The JSON listing has the bytes of ``json.dumps(payload, indent=2)``
+    and is written as one list of pieces, joined once."""
     poset = _obligations(file, hint_mode)
-    if fmt == "json":
-        payload = {
-            "machine": poset.source_machine,
-            "mode": hint_mode,
-            "obligations": [
-                {
-                    "name": po.name,
-                    "kind": po.kind,
-                    "goal": print_formula(po.sequent.goal),
-                    "selectedLabels": list(po.sequent.selected_labels()),
-                    "hintApplied": po.hint_applied,
-                }
-                for po in poset.obligations
-            ],
-        }
-        click.echo(to_json(payload))
+    goals: dict[int, str] = {}  # id(goal) -> its print, JSON-encoded for json
+    if fmt == "text":
+        lines: list[str] = []
+        for po in poset.obligations:
+            sequent = po.sequent
+            goal = goals.get(id(sequent.goal))
+            if goal is None:
+                goal = goals[id(sequent.goal)] = print_formula(sequent.goal)
+            lines += (po.name, f"  kind: {po.kind}")
+            if po.hint_applied:
+                lines.append(f"  hint: {po.hint_applied}")
+            selected = " ".join(sequent.selected_labels())
+            lines += (f"  selected: {selected or '(none)'}", f"  goal: {goal}")
+        if lines:
+            click.echo("\n".join(lines))
         return
+    quote = encode_basestring_ascii
+    labels = _Quoted()
+    out = ['{\n  "machine": ', quote(poset.source_machine)]
+    out += (',\n  "mode": ', quote(hint_mode), ',\n  "obligations": [')
+    opener = '\n    {\n      "name": '
     for po in poset.obligations:
-        click.echo(po.name)
-        click.echo(f"  kind: {po.kind}")
-        if po.hint_applied:
-            click.echo(f"  hint: {po.hint_applied}")
-        selected = " ".join(po.sequent.selected_labels())
-        click.echo(f"  selected: {selected}" if selected else "  selected: (none)")
-        click.echo(f"  goal: {print_formula(po.sequent.goal)}")
+        sequent = po.sequent
+        goal = goals.get(id(sequent.goal))
+        if goal is None:
+            goal = goals[id(sequent.goal)] = quote(print_formula(sequent.goal))
+        out += (opener, quote(po.name), ',\n      "kind": ', quote(po.kind), ',\n      "goal": ', goal)
+        selected = [labels[h.label] for h in sequent.hypotheses if h.selected]
+        if selected:
+            out += (',\n      "selectedLabels": [\n        ', ",\n        ".join(selected), "\n      ]")
+        else:
+            out.append(',\n      "selectedLabels": []')
+        hint = "null" if po.hint_applied is None else quote(po.hint_applied)
+        out += (',\n      "hintApplied": ', hint, "\n    }")
+        opener = ',\n    {\n      "name": '
+    out.append("\n  ]\n}" if poset.obligations else "]\n}")
+    click.echo("".join(out))
 
 
 @main.command()

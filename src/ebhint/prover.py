@@ -30,7 +30,8 @@ node copies, extends and eliminates again.  A check ticks once per
 variable (Fourier-Motzkin stops at the stage that gives a false row),
 and a model's sample comes from one Fourier-Motzkin back-substitution.
 The clock is read at each tick and, as a stage ticks only when it ends,
-once per lower-bound row of an elimination; the cap cannot stop one.
+once per lower-bound row of an elimination, where the rows gathered
+for the next stage so far count toward the cap as well.
 Hypothesis NNFs are kept in a `Memo`, which one `prove` run shares
 across its obligations.
 
@@ -285,7 +286,8 @@ class Memo:
 
 
 # Branches and theory ticks one `decide` call may visit: a check ticks
-# once per variable, or up to the failing Fourier-Motzkin stage.
+# once per variable, or up to the failing Fourier-Motzkin stage, and
+# while a stage runs the rows gathered for the next one count as well.
 BRANCH_CAP = 1 << 16
 
 
@@ -562,6 +564,8 @@ def _eliminate(rows: dict, search: _Search) -> tuple[list[tuple[str, dict]], boo
         for lc, lb in lowers:
             la = -lc[0][1]
             search.tick(0)  # a stage ticks only when it ends; read the clock meanwhile
+            if search.visited + len(rest) > BRANCH_CAP:
+                search.tick(BRANCH_CAP)  # the next stage's rows count toward the cap
             for uc, ub in uppers:
                 ua = uc[0][1]
                 combined = {k: v * la for k, v in uc[1:]}

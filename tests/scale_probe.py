@@ -1,14 +1,16 @@
-"""Time `ebhint prove` on a big machine, by default and with `--all-hyps`.
+"""Time `ebhint prove` on a big machine, by default and with `--all-hyps`,
+and `ebhint pos --hint-mode pog --format json` on it.
 
     python tests/scale_probe.py [--seed N] [--repeat K]
 
 Writes big1, the first machine of `frontend_corpus(seed)` in
 `bench/gen.py` (seed 101 by default; 20 variables, 50 invariants and 50
 events, 2,500 INV obligations), to a temporary directory and runs
-`ebhint prove` on it in-process, K times per mode (3 by default).
-Prints one line per mode: the best wall time and the command's summary
-line.  Reports only, and asserts nothing.  Standard library and
-`bench/gen.py` only; not a test module.
+`ebhint prove` on it in-process, K times per mode (3 by default), then
+`pos` K times.  Prints one line per mode: the best wall time and the
+command's summary line; then one line for `pos`: the best wall time and
+the number of obligations it listed.  Reports only, and asserts
+nothing.  Standard library and `bench/gen.py` only; not a test module.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import sys
 import tempfile
 import time
@@ -29,15 +32,16 @@ import gen  # noqa: E402
 from ebhint.cli import main as ebhint  # noqa: E402
 
 MODES = {"default": [], "--all-hyps": ["--all-hyps"]}
+POS = ["--hint-mode", "pog", "--format", "json"]
 
 
-def prove(path: Path, flags: list[str]) -> tuple[float, str]:
-    """Wall time and stdout of one `ebhint prove` run."""
+def run(args: list[str]) -> tuple[float, str]:
+    """Wall time and stdout of one in-process `ebhint` command."""
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         try:
-            ebhint.main(args=["prove", str(path), *flags], prog_name="ebhint", standalone_mode=False)
+            ebhint.main(args=args, prog_name="ebhint", standalone_mode=False)
         except SystemExit:  # 1 when an obligation stays unproved
             pass
     return time.perf_counter() - start, out.getvalue()
@@ -54,10 +58,14 @@ def main(argv: list[str] | None = None) -> int:
             (Path(tmp) / name).write_text(text, encoding="utf-8")
         path = Path(tmp) / case.target
         for mode, flags in MODES.items():
-            runs = [prove(path, flags) for _ in range(args.repeat)]
+            runs = [run(["prove", str(path), *flags]) for _ in range(args.repeat)]
             best = min(seconds for seconds, _ in runs)
             summary = runs[-1][1].rstrip("\n").rpartition("\n")[2]
             print(f"scale probe {case.target} {mode}: {best:.3f} s (best of {args.repeat}), {summary}")
+        runs = [run(["pos", str(path), *POS]) for _ in range(args.repeat)]
+        best = min(seconds for seconds, _ in runs)
+        listed = len(json.loads(runs[-1][1])["obligations"])
+        print(f"scale probe {case.target} pos {' '.join(POS)}: {best:.3f} s (best of {args.repeat}), {listed} obligations")
     return 0
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import sys
 import weakref
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_FILES, FIXTURES, run_cli, statuses_from
+from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS, run_cli, statuses_from
 from ebhint import cli, parser, prover
+from ebhint.printer import print_formula
 
 REPORT_KEYS = ["machine", "mode", "obligations", "summary"]
 OBLIGATION_KEYS = [
@@ -242,6 +245,125 @@ def test_pos_json_pog_mode_marks_hints():
     entry = next(o for o in payload["obligations"] if o["name"] == "set/hypSel0_1/INV")
     assert entry["hintApplied"] == "use hypSel0_2 for hypSel0_1"
     assert "hypSel0_2" in entry["selectedLabels"]
+
+
+# --- the pos listing writer ----------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+POS_INPUTS = (
+    *(str(FIXTURES / name) for name in FIXTURE_FILES),
+    *(str(MODELS / name) for name in MODEL_FILES),
+    "big8.ebh",
+    "chain_3.ebh",
+)
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory) -> dict[str, str]:
+    """big8 and chain_3 of `bench/gen.py`'s `frontend_corpus(101)`, as files."""
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave bench/ as it is
+    sys.path.insert(0, str(BENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = dont_write
+    root = tmp_path_factory.mktemp("frontend")
+    paths = {}
+    for case in gen.frontend_corpus(101):
+        if case.target in ("big8.ebh", "chain_3.ebh"):
+            for name, text in case.files.items():
+                (root / name).write_text(text, encoding="utf-8")
+            paths[case.target] = str(root / case.target)
+    return paths
+
+
+def _stdout(*args: str) -> str:
+    """The stdout of one in-process `ebhint` command that exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main.main(args=list(args), prog_name="ebhint", standalone_mode=False)
+    return out.getvalue()
+
+
+def _pos_reference(path: str, mode: str, fmt: str) -> str:
+    """`pos` output built line by line and, for json, as payload dicts
+    passed to `json.dumps(payload, indent=2)`."""
+    poset = cli._obligations(path, mode)
+    if fmt == "json":
+        payload = {
+            "machine": poset.source_machine,
+            "mode": mode,
+            "obligations": [
+                {
+                    "name": po.name,
+                    "kind": po.kind,
+                    "goal": print_formula(po.sequent.goal),
+                    "selectedLabels": list(po.sequent.selected_labels()),
+                    "hintApplied": po.hint_applied,
+                }
+                for po in poset.obligations
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    lines = []
+    for po in poset.obligations:
+        lines += [po.name, f"  kind: {po.kind}"]
+        if po.hint_applied:
+            lines.append(f"  hint: {po.hint_applied}")
+        selected = " ".join(po.sequent.selected_labels())
+        lines.append(f"  selected: {selected}" if selected else "  selected: (none)")
+        lines.append(f"  goal: {print_formula(po.sequent.goal)}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("mode", ["tactic", "pog"])
+@pytest.mark.parametrize("source", POS_INPUTS, ids=lambda source: Path(source).name)
+def test_pos_matches_its_reference(generated, source, mode, fmt):
+    path = generated.get(source, source)
+    assert _stdout("pos", path, "--hint-mode", mode, "--format", fmt) == _pos_reference(path, mode, fmt)
+
+
+def test_pos_edge_cases_match_their_reference(tmp_path):
+    (tmp_path / "empty.ebh").write_text("machine empty\nend\n")
+    (tmp_path / "c.ebh").write_text("context c\ntheorems\n  t1: 1 + 1 = 2\nend\n")
+    cases = [
+        (str(tmp_path / "empty.ebh"), "tactic", '"obligations": []'),
+        (str(tmp_path / "c.ebh"), "tactic", '"selectedLabels": []'),
+        (str(FIXTURES / "hypSel0.ebh"), "tactic", '"hintApplied": null'),
+        (str(FIXTURES / "hypSel0.ebh"), "pog", '"hintApplied": "use hypSel0_2 for hypSel0_1"'),
+    ]
+    for path, mode, edge in cases:
+        out = _stdout("pos", path, "--hint-mode", mode, "--format", "json")
+        assert edge in out
+        assert out == _pos_reference(path, mode, "json")
+        assert _stdout("pos", path, "--hint-mode", mode) == _pos_reference(path, mode, "text")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("mode", ["tactic", "pog"])
+def test_pos_prints_each_goal_object_once(monkeypatch, generated, mode, fmt):
+    posets, printed = [], []
+
+    def keeping(*args, **kwargs):
+        posets.append(obligations(*args, **kwargs))
+        return posets[-1]
+
+    def counting(goal):
+        printed.append(id(goal))
+        return print_formula(goal)
+
+    obligations = cli._obligations
+    monkeypatch.setattr(cli, "_obligations", keeping)
+    monkeypatch.setattr(cli, "print_formula", counting)
+    _stdout("pos", generated["big8.ebh"], "--hint-mode", mode, "--format", fmt)
+    (poset,) = posets
+    goals = list(dict.fromkeys(id(po.sequent.goal) for po in poset.obligations))
+    assert printed == goals
+    # every event's INV obligations of one invariant share its goal
+    assert len(goals) < len(poset.obligations) / 2
 
 
 # --- prove ---------------------------------------------------------------------

@@ -190,8 +190,9 @@ def test_fm_reads_the_clock_once_per_lower_bound_row():
 
 
 # 24 random rows of three variables over v0..v9 (random.Random(7)) whose
-# elimination blows up.  Never decide them without a deadline: that ran
-# past 30 s with `visited` still 1, as a stage ticks only when it ends.
+# elimination blows up.  A stage ticks only when it ends, so before the
+# rows an elimination makes counted toward the cap, deciding them
+# without a deadline ran past 30 s with `visited` still 1.
 BLOWUP_ROWS = (
     "-3 * v5 + 1 * v2 + 1 * v6 <= 17",
     "-2 * v1 + 2 * v5 + 1 * v0 <= 2",
@@ -220,7 +221,10 @@ BLOWUP_ROWS = (
 )
 
 
-def test_fm_blowup_ends_at_the_deadline(monkeypatch):
+def _decide_blowup(monkeypatch, deadline_s):
+    """`decide` of `BLOWUP_ROWS` against `v0 <= 1000`, with its seconds
+    and the `visited` count of each `_Search` it made.  A decide that
+    does not end within 5 s fails instead of hanging."""
     searches = []
 
     class Kept(prover._Search):
@@ -229,22 +233,35 @@ def test_fm_blowup_ends_at_the_deadline(monkeypatch):
             searches.append(self)
 
     def give_up(signum, frame):
-        raise AssertionError("decide read no clock for 5 s")
+        raise AssertionError("decide did not end within 5 s")
 
     monkeypatch.setattr(prover, "_Search", Kept)
-    # a decide that misses its deadline would not end: fail instead
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.alarm(5)
     start = time.perf_counter()
     try:
-        d = decide(tuple(p(r) for r in BLOWUP_ROWS), p("v0 <= 1000"), deadline=start + 0.2)
+        deadline = None if deadline_s is None else start + deadline_s
+        d = decide(tuple(p(r) for r in BLOWUP_ROWS), p("v0 <= 1000"), deadline=deadline)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    elapsed = time.perf_counter() - start
+    return d, time.perf_counter() - start, [s.visited for s in searches]
+
+
+def test_fm_blowup_ends_at_the_deadline(monkeypatch):
+    # the cap would end the elimination after about as long as the
+    # deadline; put it out of reach so that only the clock can
+    monkeypatch.setattr(prover, "BRANCH_CAP", 1 << 40)
+    d, elapsed, visited = _decide_blowup(monkeypatch, 0.2)
     assert (d.status, d.reason) == (UNPROVED, "timeout")
     assert elapsed < 0.7, elapsed
-    assert [s.visited for s in searches] == [1]
+    assert visited == [1]
+
+
+def test_fm_blowup_ends_at_the_branch_cap_without_a_deadline(monkeypatch):
+    d, elapsed, visited = _decide_blowup(monkeypatch, None)
+    assert (d.status, d.reason) == (UNPROVED, "branch cap exceeded")
+    assert visited == [prover.BRANCH_CAP + 1]
 
 
 # The pathological sequents of the benchmark's decide workload, as text.
