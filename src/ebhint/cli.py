@@ -11,6 +11,7 @@ problems or unproved obligations, 2 unreadable input.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -49,29 +50,6 @@ def _load(path: str, loader: Loader | None = None) -> tuple[Model | None, list[D
         if extra:
             model = None
     return model, diags
-
-
-def to_json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, built as one string per value (`json`, given ``indent``, makes
-    one chunk per token in pure Python).  Each line of the value starts with ``indent``."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [encode_basestring_ascii(k) + ": " + to_json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([to_json(v, inner) for v in value]) + indent + "]"
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, (int, float)):  # finite
-        return repr(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class _Quoted(dict):
@@ -205,7 +183,7 @@ def pos(file: str, hint_mode: str, fmt: str) -> None:
 @click.option(
     "--timeout-ms",
     type=click.IntRange(min=1),
-    default=2000,
+    default=ProveOptions.timeout_ms,
     show_default=True,
     help="Prover budget per obligation.",
 )
@@ -261,7 +239,7 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
             },
         }
         try:
-            Path(json_path).write_text(to_json(report) + "\n", encoding="utf-8")
+            Path(json_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         except OSError as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(2)

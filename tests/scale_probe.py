@@ -1,5 +1,5 @@
-"""Time `ebhint prove` on a big machine, by default and with `--all-hyps`,
-and `ebhint pos --hint-mode pog --format json` on it.
+"""Time `ebhint prove` on a big machine, by default, with `--all-hyps` and
+with a `--json` report, and `ebhint pos --hint-mode pog --format json` on it.
 
     python tests/scale_probe.py [--seed N] [--repeat K]
 
@@ -7,8 +7,10 @@ Writes big1, the first machine of `frontend_corpus(seed)` in
 `bench/gen.py` (seed 101 by default; 20 variables, 50 invariants and 50
 events, 2,500 INV obligations), to a temporary directory and runs
 `ebhint prove` on it in-process, K times per mode (3 by default), then
-`pos` K times.  Prints one line per mode: the best wall time and the
-command's summary line; then one line for `pos`: the best wall time and
+`prove --json <tmp>/report.json` K times, then `pos` K times.  Prints
+one line per mode: the best wall time and the command's summary line;
+then one line for `prove --json`: the best wall time and the number of
+records in the report; then one line for `pos`: the best wall time and
 the number of obligations it listed.  Reports only, and asserts
 nothing.  Standard library and `bench/gen.py` only; not a test module.
 """
@@ -62,6 +64,10 @@ def main(argv: list[str] | None = None) -> int:
             best = min(seconds for seconds, _ in runs)
             summary = runs[-1][1].rstrip("\n").rpartition("\n")[2]
             print(f"scale probe {case.target} {mode}: {best:.3f} s (best of {args.repeat}), {summary}")
+        report = Path(tmp) / "report.json"
+        best = min(run(["prove", str(path), "--json", str(report)])[0] for _ in range(args.repeat))
+        records = len(json.loads(report.read_text(encoding="utf-8"))["obligations"])
+        print(f"scale probe {case.target} prove --json: {best:.3f} s (best of {args.repeat}), {records} records")
         runs = [run(["pos", str(path), *POS]) for _ in range(args.repeat)]
         best = min(seconds for seconds, _ in runs)
         listed = len(json.loads(runs[-1][1])["obligations"])

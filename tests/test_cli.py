@@ -11,8 +11,6 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS, run_cli, statuses_from
 from ebhint import cli, parser, prover
@@ -256,12 +254,35 @@ POS_INPUTS = (
     *(str(MODELS / name) for name in MODEL_FILES),
     "big8.ebh",
     "chain_3.ebh",
+    "non_ascii.ebh",
 )
+
+# Names that JSON output must escape: the listing and the report are ASCII.
+NON_ASCII = """\
+machine mé
+variables é
+invariants
+  ié: é in NAT
+events
+  event inc
+  where
+    gé: é in NAT
+  then
+    aé: é := é + 1
+  end
+end
+"""
+
+
+def assert_escaped(text: str) -> None:
+    assert "\\u00e9" in text
+    assert text.isascii()
 
 
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory) -> dict[str, str]:
-    """big8 and chain_3 of `bench/gen.py`'s `frontend_corpus(101)`, as files."""
+    """big8 and chain_3 of `bench/gen.py`'s `frontend_corpus(101)`, and
+    `NON_ASCII`, as files."""
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave bench/ as it is
     sys.path.insert(0, str(BENCH))
     try:
@@ -276,6 +297,8 @@ def generated(tmp_path_factory) -> dict[str, str]:
             for name, text in case.files.items():
                 (root / name).write_text(text, encoding="utf-8")
             paths[case.target] = str(root / case.target)
+    (root / "non_ascii.ebh").write_text(NON_ASCII, encoding="utf-8")
+    paths["non_ascii.ebh"] = str(root / "non_ascii.ebh")
     return paths
 
 
@@ -323,7 +346,10 @@ def _pos_reference(path: str, mode: str, fmt: str) -> str:
 @pytest.mark.parametrize("source", POS_INPUTS, ids=lambda source: Path(source).name)
 def test_pos_matches_its_reference(generated, source, mode, fmt):
     path = generated.get(source, source)
-    assert _stdout("pos", path, "--hint-mode", mode, "--format", fmt) == _pos_reference(path, mode, fmt)
+    out = _stdout("pos", path, "--hint-mode", mode, "--format", fmt)
+    assert out == _pos_reference(path, mode, fmt)
+    if source == "non_ascii.ebh" and fmt == "json":
+        assert_escaped(out)
 
 
 def test_pos_edge_cases_match_their_reference(tmp_path):
@@ -410,10 +436,15 @@ def test_prove_json_report_schema(tmp_path):
 
 
 def test_prove_json_round_trips(tmp_path):
+    (tmp_path / "non_ascii.ebh").write_text(NON_ASCII, encoding="utf-8")
     out = tmp_path / "report.json"
-    run_cli("prove", str(FIXTURES / "hypSel0.ebh"), "--json", str(out))
-    text = out.read_text()
-    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    for source in (FIXTURES / "hypSel0.ebh", tmp_path / "non_ascii.ebh"):
+        for mode in ("tactic", "pog"):
+            run_cli("prove", str(source), "--hint-mode", mode, "--json", str(out))
+            text = out.read_text(encoding="utf-8")
+            assert json.dumps(json.loads(text), indent=2) + "\n" == text
+            if source.name == "non_ascii.ebh":
+                assert_escaped(text)
 
 
 def test_prove_json_deterministic_modulo_duration(tmp_path):
@@ -650,42 +681,6 @@ def test_export_smt_pog_mode_child():
     )
     assert result.exit_code == 0
     assert "; case+" in result.output
-
-
-# --- the JSON writer ---------------------------------------------------------------
-
-# strings with quotes, backslashes, control characters and non-ASCII text
-_json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'), st.characters()), max_size=12)
-json_values = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(),
-        st.integers(-(2**80), 2**80),
-        st.floats(allow_nan=False, allow_infinity=False),
-        _json_text,
-    ),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(_json_text, inner, max_size=4),
-    ),
-    max_leaves=30,
-)
-
-
-@given(json_values)
-def test_json_writer_matches_json_dumps(value):
-    assert cli.to_json(value) == json.dumps(value, indent=2)
-
-
-def test_json_writer_empty_and_nested_containers():
-    value = {"a": [], "b": {}, "c": [[], {}, [{}]], "": [None, True, False, 0, -1.5e-300, "\u00e9\ud83d"]}
-    assert cli.to_json(value) == json.dumps(value, indent=2)
-
-
-def test_json_writer_rejects_other_objects():
-    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
-        cli.to_json({"a": [object()]})
 
 
 # --- interface basics -------------------------------------------------------------
