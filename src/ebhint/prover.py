@@ -19,16 +19,21 @@ conjunction.  A lazy DPLL(T) search then looks for a propositional
 model: before branching it assigns every literal child of that root
 (unit propagation), and each node that assigned a linear literal is
 checked over the integers, so an arithmetically inconsistent node is
-pruned with its whole subtree.  A search node carries its own state: its
-simplified tree, its theory state, which extends its parent's, and the
-literals assigned at it.  Rows keep integer coefficients divided by
-their gcd, the bound rounded down.  While a path's rows are all bounds
-and unit differences, its theory state is a difference graph with
-integer potentials; the first row of another kind switches it to a
-Fourier-Motzkin row set (coefficients -> tightest bound), which each
-node copies, extends and eliminates again.  A check ticks once per
-variable (Fourier-Motzkin stops at the stage that gives a false row),
-and a model's sample comes from one Fourier-Motzkin back-substitution.
+pruned with its whole subtree.  After a node's difference-graph check,
+theory propagation assigns the bound and unit-difference literals of
+its tree that the graph already decides (shortest paths on the
+potentials' reduced costs), so the search never branches on them; each
+round of it ticks once, and Fourier-Motzkin states do not propagate.
+A search node carries its own state: its simplified tree, its theory
+state, which extends its parent's, and the literals assigned at it.
+Rows keep integer coefficients divided by their gcd, the bound rounded
+down.  While a path's rows are all bounds and unit differences, its
+theory state is a difference graph with integer potentials; the first
+row of another kind switches it to a Fourier-Motzkin row set
+(coefficients -> tightest bound), which each node copies, extends and
+eliminates again.  A check ticks once per variable (Fourier-Motzkin
+stops at the stage that gives a false row), and a model's sample comes
+from one Fourier-Motzkin back-substitution.
 The clock is read at each tick and, as a stage ticks only when it ends,
 once per lower-bound row of an elimination, where the rows gathered
 for the next stage so far count toward the cap as well.
@@ -71,7 +76,6 @@ from .formula import (
     Sub,
     Add,
     Truth,
-    Unevaluable,
     conjunction,
     evaluate,
     free_identifiers,
@@ -348,16 +352,10 @@ def _first_literal(tree):
     return tree[1]
 
 
-def _propagate(tree, values: dict, search: _Search, theory: _Graph | dict):
-    """One search node: the parent's simplified tree and theory state,
-    and ``values``, the literals assigned at this node (its branch
-    literal, or nothing at the root).  Adds the unit literals, the
-    literal children of the simplified root conjunction, to ``values``
-    until none is left, and checks a model, or a node that assigned
-    linear literals, for arithmetic consistency.  Returns the node's
-    simplified tree and theory state, or None if it is dead."""
-    search.tick()
-    tree = _simplify(tree, values)
+def _units(tree, values: dict):
+    """The simplified tree with its unit literals, the literal children
+    of its root conjunction, assigned and added to ``values`` until none
+    is left; None when it is false or two units conflict."""
     while tree[0] not in ("true", "false"):
         units: dict = {}
         for child in tree[1] if tree[0] == "and" else (tree,):
@@ -367,13 +365,43 @@ def _propagate(tree, values: dict, search: _Search, theory: _Graph | dict):
             break
         values.update(units)
         tree = _simplify(tree, units)
-    if tree == ("false",):
+    return None if tree == ("false",) else tree
+
+
+def _propagate(tree, values: dict, search: _Search, theory: _Graph | dict):
+    """One search node: the parent's simplified tree and theory state,
+    and ``values``, the literals assigned at this node (its branch
+    literal, or nothing at the root).  Assigns the unit literals, and
+    checks a model, or a node that assigned linear literals, for
+    arithmetic consistency.  After a graph check, never a Fourier-Motzkin
+    one, it assigns the literals the graph implies (theory propagation,
+    see `_implied`) and the units they expose, and checks only those
+    units, as the graph entails the implied rows; one tick per round, so
+    that the cap and the deadline bound it, until a round implies
+    nothing.  Returns the node's simplified tree and theory state, or
+    None if it is dead."""
+    search.tick()
+    tree = _units(_simplify(tree, values), values)
+    if tree is None:
         return None
-    if tree == ("true",) or any(key[0] == "lin" for key in values):
+    if tree != ("true",) and not any(key[0] == "lin" for key in values):
+        return tree, theory
+    while True:
         theory = _check(theory, values, search)
         if theory is None:
             return None
-    return tree, theory
+        if tree == ("true",) or not isinstance(theory, _Graph):
+            return tree, theory
+        implied = _implied(tree, theory)
+        if not implied:
+            return tree, theory
+        search.tick()
+        values = {}
+        tree = _units(_simplify(tree, implied), values)
+        if tree is None:
+            return None
+        if not any(key[0] == "lin" for key in values):
+            return tree, theory
 
 
 def _solve(tree, search: _Search):
@@ -526,6 +554,64 @@ def _relax(graph: _Graph, edges: list, search: _Search) -> _Graph | None:
     return _Graph(pi, succ)
 
 
+def _reach(graph: _Graph, source: str, limit: int) -> dict[str, int]:
+    """The reduced-cost distance from ``source`` of each vertex within
+    ``limit`` of it, by Dijkstra on the costs pi[u] + w - pi[v] of the
+    edges u -> v, which the potentials keep non-negative."""
+    pi, succ = graph
+    reached: dict[str, int] = {}
+    heap = [(0, source)]
+    while heap:
+        d, s = heapq.heappop(heap)
+        if s in reached:
+            continue
+        reached[s] = d
+        for t, w in succ.get(s, {}).items():
+            dt = d + pi[s] + w - pi[t]
+            if dt <= limit and t not in reached:
+                heapq.heappush(heap, (dt, t))
+    return reached
+
+
+def _implied(tree, graph: _Graph) -> dict:
+    """The bound and unit-difference literals of the tree that the graph
+    decides (Cotton & Maler, SAT 2006).  The literal x_v - x_u <= w is
+    true when the graph's path u -> v is at most w long, and false when
+    its path v -> u is shorter than -w, as the edge would close a
+    negative cycle.  The potentials satisfy whatever the graph entails,
+    so the edge's reduced cost pi[u] + w - pi[v] tells which of the two
+    can hold: at least 0, the path u -> v within it in reduced costs; or
+    below 0, the path v -> u within its negation's reduced cost.  One
+    Dijkstra pass per source answers its queries."""
+    pi = graph.pi
+    queries: dict[str, list] = {}  # source -> [(target, limit, key, value)]
+    seen = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node[0] != "lit":
+            stack.extend(node[1])
+            continue
+        key = node[1]
+        if key[0] != "lin" or key in seen or (edge := _edge(key[1:])) is None:
+            continue
+        seen.add(key)
+        u, v, w = edge
+        if u in pi and v in pi:
+            gap = pi[u] + w - pi[v]
+            if gap >= 0:
+                queries.setdefault(u, []).append((v, gap, key, True))
+            else:
+                queries.setdefault(v, []).append((u, -gap - 1, key, False))
+    implied = {}
+    for source, targets in queries.items():
+        reached = _reach(graph, source, max(limit for _, limit, _, _ in targets))
+        for target, limit, key, value in targets:
+            if reached.get(target, limit + 1) <= limit:
+                implied[key] = value
+    return implied
+
+
 def _extend(rows: dict, new: list[_Row], search: _Search) -> dict | None:
     """The Fourier-Motzkin state (coefficients -> tightest bound) with
     the ``new`` rows added, or None when they make it infeasible.  Ticks
@@ -640,10 +726,9 @@ def decide(
         return Decision(UNPROVED, "countermodel is not integral")
     names = sorted(set().union(*[free_identifiers(f) for f in hypotheses + (goal,)]))
     valuation = {n: sample.get(n, 0) for n in names}
-    try:
-        ok = all(evaluate(h, valuation) for h in hypotheses) and not evaluate(goal, valuation)
-    except Unevaluable:
-        ok = False
+    # named-set memberships returned above, `_nnf` stopped at quantifiers,
+    # and the valuation covers every free identifier: nothing is unevaluable
+    ok = all(evaluate(h, valuation) for h in hypotheses) and not evaluate(goal, valuation)
     if not ok:
         return Decision(UNPROVED, "countermodel could not be confirmed")
     return Decision(UNPROVED, "countermodel found", tuple(sorted(valuation.items())))

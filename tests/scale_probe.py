@@ -8,11 +8,16 @@ Writes big1, the first machine of `frontend_corpus(seed)` in
 events, 2,500 INV obligations), to a temporary directory and runs
 `ebhint prove` on it in-process, K times per mode (3 by default), then
 `prove --json <tmp>/report.json` K times, then `pos` K times.  Prints
-one line per mode: the best wall time and the command's summary line;
-then one line for `prove --json`: the best wall time and the number of
-records in the report; then one line for `pos`: the best wall time and
-the number of obligations it listed.  Reports only, and asserts
-nothing.  Standard library and `bench/gen.py` only; not a test module.
+one line per mode: the best wall time, the command's summary line, and
+the number of `decide` calls and search nodes (`_propagate` calls) of
+one run, counted by wrappers the probe installs on the prover for the
+first run; then one line for `prove --json`: the best wall time and the
+number of records in the report; then one line for `pos`: the best wall
+time and the number of obligations it listed.  Last, one line per n in
+SHIFTED: the best of K wall times of `decide` on the valid
+`x in {0..n-1} |- x + 1 in {1..n}`, and its status.  Reports only, and
+asserts nothing.  Standard library and `bench/gen.py` only; not a test
+module.
 """
 
 from __future__ import annotations
@@ -31,10 +36,35 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 sys.dont_write_bytecode = True  # leave bench/ as it is
 
 import gen  # noqa: E402
+from ebhint import parse_predicate, prover  # noqa: E402
 from ebhint.cli import main as ebhint  # noqa: E402
 
 MODES = {"default": [], "--all-hyps": ["--all-hyps"]}
 POS = ["--hint-mode", "pog", "--format", "json"]
+SHIFTED = (400, 800)
+COUNTED = {"decide": "decide calls", "_propagate": "search nodes"}
+
+
+@contextlib.contextmanager
+def counted():
+    """Counts the calls of each COUNTED prover function while it runs."""
+    counts = dict.fromkeys(COUNTED, 0)
+    originals = {name: getattr(prover, name) for name in COUNTED}
+
+    def wrap(name, function):
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return counting
+
+    for name, function in originals.items():
+        setattr(prover, name, wrap(name, function))
+    try:
+        yield counts
+    finally:
+        for name, function in originals.items():
+            setattr(prover, name, function)
 
 
 def run(args: list[str]) -> tuple[float, str]:
@@ -60,10 +90,13 @@ def main(argv: list[str] | None = None) -> int:
             (Path(tmp) / name).write_text(text, encoding="utf-8")
         path = Path(tmp) / case.target
         for mode, flags in MODES.items():
-            runs = [run(["prove", str(path), *flags]) for _ in range(args.repeat)]
+            with counted() as counts:
+                runs = [run(["prove", str(path), *flags])]
+            runs += [run(["prove", str(path), *flags]) for _ in range(args.repeat - 1)]
             best = min(seconds for seconds, _ in runs)
             summary = runs[-1][1].rstrip("\n").rpartition("\n")[2]
-            print(f"scale probe {case.target} {mode}: {best:.3f} s (best of {args.repeat}), {summary}")
+            work = ", ".join(f"{counts[name]} {what}" for name, what in COUNTED.items())
+            print(f"scale probe {case.target} {mode}: {best:.3f} s (best of {args.repeat}), {summary}, {work}")
         report = Path(tmp) / "report.json"
         best = min(run(["prove", str(path), "--json", str(report)])[0] for _ in range(args.repeat))
         records = len(json.loads(report.read_text(encoding="utf-8"))["obligations"])
@@ -72,6 +105,16 @@ def main(argv: list[str] | None = None) -> int:
         best = min(seconds for seconds, _ in runs)
         listed = len(json.loads(runs[-1][1])["obligations"])
         print(f"scale probe {case.target} pos {' '.join(POS)}: {best:.3f} s (best of {args.repeat}), {listed} obligations")
+    for n in SHIFTED:
+        hyp = parse_predicate("x in {" + ", ".join(map(str, range(n))) + "}")
+        goal = parse_predicate("x + 1 in {" + ", ".join(map(str, range(1, n + 1))) + "}")
+        times = []
+        for _ in range(args.repeat):
+            start = time.perf_counter()
+            decision = prover.decide((hyp,), goal)
+            times.append(time.perf_counter() - start)
+        print(f"scale probe decide x in {{0..{n - 1}}} |- x + 1 in {{1..{n}}}: "
+              f"{min(times):.3f} s (best of {args.repeat}), {decision.status}")
     return 0
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_FILES, FIXTURES
@@ -471,6 +471,40 @@ def test_difference_graph_agrees_with_fourier_motzkin(assignment, other):
                 assert prover._sample(switched, search) == sample
 
 
+@settings(max_examples=300, deadline=None)
+@given(_difference_system(("a", "b", "c", "d")), _difference_system(("a", "b", "c", "d")).filter(bool))
+# a - b <= 3 leaves b - a <= -3 open: the path b -> a of length 3 closes
+# a cycle of length 0 with it, not a negative one
+@example(_edges(("b", "a", 3)), _edges(("a", "b", -3)))
+def test_graph_implies_a_literal_exactly_when_its_complement_closes_a_cycle(assignment, literals):
+    graph = prover._check(prover._ROOT, assignment, prover._Search(None))
+    assume(graph is not None)
+    key, polarity = next(iter(literals.items()))
+    implied = prover._implied(("lit", key, polarity), graph)
+
+    def refuted(value):
+        [edge] = [prover._edge(row) for row in prover._rows({key: value})]
+        return prover._relax(graph, [edge], prover._Search(None)) is None
+
+    assert (implied.get(key) is False) == refuted(True)
+    assert (implied.get(key) is True) == refuted(False)
+
+
+def test_a_branch_the_root_graph_decides_takes_no_node(monkeypatch):
+    # the root's units x - y <= 1 and y - x <= -1 decide both literals of
+    # the negated goal false, so the root is the only node
+    nodes = []
+
+    def counting(*args):
+        nodes.append(args)
+        return propagate(*args)
+
+    propagate = prover._propagate
+    monkeypatch.setattr(prover, "_propagate", counting)
+    decision, visited = decide_visited(monkeypatch, (p("x = y + 1"),), p("y = x - 1"))
+    assert (decision.status, len(nodes), visited) == (PROVED, 1, 4)
+
+
 @pytest.mark.parametrize("only_selected, status, eliminations", [(False, PROVED, 0), (True, UNPROVED, 1)])
 def test_difference_rows_reach_fourier_motzkin_only_for_the_sample(monkeypatch, only_selected, status, eliminations):
     # every row of this obligation is a bound or a unit difference; with
@@ -527,9 +561,10 @@ def test_negated_set_membership_keeps_its_literal_order():
     assert prover._simplify(membership, {}) == prover._simplify(chain, {})
 
 
-# x in {0..n-1} |- x + 1 in {1..n} holds for every n; its search runs a
-# path about n branches deep (PROVED, with `_Search.visited` pinned)
-@pytest.mark.parametrize("n, visited", [(10, 109), (100, 1189)])
+# x in {0..n-1} |- x + 1 in {1..n} holds for every n; its search takes
+# three nodes, and the first branch's graph decides the goal's literals
+# in n - 1 propagation rounds (PROVED, with `_Search.visited` pinned)
+@pytest.mark.parametrize("n, visited", [(10, 23), (100, 203)])
 def test_decide_shifted_set_literal(monkeypatch, n, visited):
     hyp = p("x in {" + ", ".join(str(k) for k in range(n)) + "}")
     goal = p("x + 1 in {" + ", ".join(str(k) for k in range(1, n + 1)) + "}")
