@@ -16,24 +16,24 @@ normal form over linear atoms, with n-ary "and" and "or" nodes.
 Simplifying a tree folds its constants and splices each child of a
 node's own kind into the node, so the whole sequent is one flat
 conjunction.  A lazy DPLL(T) search then looks for a propositional
-model: before branching it assigns every literal child of that root
-(unit propagation), and each node that assigned a linear literal is
-checked over the integers, so an arithmetically inconsistent node is
-pruned with its whole subtree.  After a node's difference-graph check,
-theory propagation assigns the bound and unit-difference literals of
-its tree that the graph already decides (shortest paths on the
-potentials' reduced costs), so the search never branches on them; each
-round of it ticks once, and Fourier-Motzkin states do not propagate.
+model.  Before it branches, each search node runs one propagation loop
+to a fixpoint: it assigns every literal child of that root (unit
+propagation), checks the rows of the linear literals it assigned over
+the integers, so an arithmetically inconsistent node is pruned with its
+whole subtree, and after a difference-graph check assigns the literals
+the graph already decides (theory propagation, one tick per round).
 A search node carries its own state: its simplified tree, its theory
 state, which extends its parent's, and the literals assigned at it.
 Rows keep integer coefficients divided by their gcd, the bound rounded
 down.  While a path's rows are all bounds and unit differences, its
-theory state is a difference graph with integer potentials; the first
-row of another kind switches it to a Fourier-Motzkin row set
-(coefficients -> tightest bound), which each node copies, extends and
-eliminates again.  A check ticks once per variable (Fourier-Motzkin
-stops at the stage that gives a false row), and a model's sample comes
-from one Fourier-Motzkin back-substitution.
+theory state is a difference graph with integer potentials, and one
+bounded Dijkstra pass on their reduced costs (`_reach`) both repairs
+them and answers theory propagation; the first row of another kind
+switches it to a Fourier-Motzkin row set (coefficients -> tightest
+bound), which each node copies, extends and eliminates again.  A check
+ticks once per variable (Fourier-Motzkin stops at the stage that gives a
+false row), and a model's sample comes from one Fourier-Motzkin
+back-substitution.
 The clock is read at each tick and, as a stage ticks only when it ends,
 once per lower-bound row of an elimination, where the rows gathered
 for the next stage so far count toward the cap as well.
@@ -352,56 +352,44 @@ def _first_literal(tree):
     return tree[1]
 
 
-def _units(tree, values: dict):
-    """The simplified tree with its unit literals, the literal children
-    of its root conjunction, assigned and added to ``values`` until none
-    is left; None when it is false or two units conflict."""
-    while tree[0] not in ("true", "false"):
-        units: dict = {}
-        for child in tree[1] if tree[0] == "and" else (tree,):
-            if child[0] == "lit" and units.setdefault(child[1], child[2]) != child[2]:
-                return None
-        if not units:
-            break
-        values.update(units)
-        tree = _simplify(tree, units)
-    return None if tree == ("false",) else tree
-
-
 def _propagate(tree, values: dict, search: _Search, theory: _Graph | dict):
     """One search node: the parent's simplified tree and theory state,
     and ``values``, the literals assigned at this node (its branch
-    literal, or nothing at the root).  Assigns the unit literals, and
-    checks a model, or a node that assigned linear literals, for
-    arithmetic consistency.  After a graph check, never a Fourier-Motzkin
-    one, it assigns the literals the graph implies (theory propagation,
-    see `_implied`) and the units they expose, and checks only those
-    units, as the graph entails the implied rows; one tick per round, so
-    that the cap and the deadline bound it, until a round implies
-    nothing.  Returns the node's simplified tree and theory state, or
-    None if it is dead."""
+    literal, or nothing at the root).  One loop: simplify the tree under
+    the literals just assigned; assign its unit literals, the literal
+    children of its root conjunction, and repeat; check the rows of the
+    linear literals assigned since the last check; after a graph check,
+    never a Fourier-Motzkin one, assign the literals the graph implies
+    (see `_implied`) and repeat, one tick per such round so that the cap
+    and the deadline bound it.  Implied literals add no rows, as the
+    graph entails them, and a node that adds no rows keeps its parent's
+    checked state.  Returns the node's simplified tree and theory state,
+    or None if it is dead."""
     search.tick()
-    tree = _units(_simplify(tree, values), values)
-    if tree is None:
-        return None
-    if tree != ("true",) and not any(key[0] == "lin" for key in values):
-        return tree, theory
+    rows = _rows(values)
     while True:
-        theory = _check(theory, values, search)
+        tree = _simplify(tree, values)
+        if tree == ("false",):
+            return None
+        values = {}
+        for child in tree[1] if tree[0] == "and" else (tree,):
+            if child[0] == "lit" and values.setdefault(child[1], child[2]) != child[2]:
+                return None
+        if values:
+            rows += _rows(values)
+            continue
+        if not rows:
+            return tree, theory
+        theory = _check(theory, rows, search)
         if theory is None:
             return None
         if tree == ("true",) or not isinstance(theory, _Graph):
             return tree, theory
-        implied = _implied(tree, theory)
-        if not implied:
+        values = _implied(tree, theory)
+        if not values:
             return tree, theory
         search.tick()
-        values = {}
-        tree = _units(_simplify(tree, implied), values)
-        if tree is None:
-            return None
-        if not any(key[0] == "lin" for key in values):
-            return tree, theory
+        rows = []
 
 
 def _solve(tree, search: _Search):
@@ -492,12 +480,11 @@ def _graph_rows(graph: _Graph) -> dict:
     }
 
 
-def _check(theory: _Graph | dict, values: dict, search: _Search) -> _Graph | dict | None:
-    """The node's theory state: its parent's with the rows of the linear
-    literals in ``values`` added, or None when they make it infeasible.
+def _check(theory: _Graph | dict, rows: list[_Row], search: _Search) -> _Graph | dict | None:
+    """The node's theory state: the last one it checked, its parent's at
+    first, with ``rows`` added, or None when they make it infeasible.
     A graph state becomes a Fourier-Motzkin one, its rows as the
     starting dict, once a row of another kind arrives."""
-    rows = _rows(values)
     if isinstance(theory, _Graph):
         edges = [_edge(row) for row in rows]
         if None not in edges:
@@ -508,10 +495,13 @@ def _check(theory: _Graph | dict, values: dict, search: _Search) -> _Graph | dic
 
 def _relax(graph: _Graph, edges: list, search: _Search) -> _Graph | None:
     """The graph with ``edges`` added, or None when one closes a
-    negative cycle.  An edge the potentials satisfy costs nothing more;
-    otherwise a Dijkstra pass on reduced costs from its head lowers the
-    potentials, and reaching its tail means a negative cycle.  Ticks once
-    per variable either way, as a graph has no stages."""
+    negative cycle.  An edge u -> v of weight w that the potentials
+    satisfy costs nothing more.  Otherwise its reduced cost, the gap
+    pi[u] + w - pi[v], is negative, and a vertex s must drop when the
+    gap plus its reduced distance d from v stays negative: `_reach`
+    from v within -gap - 1 finds them.  Reaching u means the edge
+    closes a negative cycle; else each s drops to pi[s] + gap + d.
+    Ticks once per variable either way, as a graph has no stages."""
     pi, succ = graph
     new = {name for u, v, _ in edges for name in (u, v) if name not in pi}
     if new:
@@ -531,25 +521,11 @@ def _relax(graph: _Graph, edges: list, search: _Search) -> _Graph | None:
         gap = pi[u] + w - pi[v]
         if gap >= 0:
             continue
-        # each vertex reached drops by gap plus its reduced distance from
-        # v, while that stays negative
-        lowered: dict[str, int] = {}
-        drop = {v: gap}
-        heap = [(gap, v)]
-        while heap:
-            d, s = heapq.heappop(heap)
-            if s in lowered:
-                continue
-            lowered[s] = pi[s] + d
-            for t, wt in succ.get(s, {}).items():
-                dt = lowered[s] + wt - pi[t]
-                if t not in lowered and dt < drop.get(t, 0):
-                    if t == u:
-                        search.tick(ticks)
-                        return None
-                    drop[t] = dt
-                    heapq.heappush(heap, (dt, t))
-        pi = {**pi, **lowered}
+        reached = _reach(_Graph(pi, succ), v, -gap - 1)
+        if u in reached:
+            search.tick(ticks)
+            return None
+        pi = {**pi, **{s: pi[s] + gap + d for s, d in reached.items()}}
     search.tick(ticks)
     return _Graph(pi, succ)
 
@@ -557,7 +533,9 @@ def _relax(graph: _Graph, edges: list, search: _Search) -> _Graph | None:
 def _reach(graph: _Graph, source: str, limit: int) -> dict[str, int]:
     """The reduced-cost distance from ``source`` of each vertex within
     ``limit`` of it, by Dijkstra on the costs pi[u] + w - pi[v] of the
-    edges u -> v, which the potentials keep non-negative."""
+    edges u -> v, which the potentials keep non-negative.  During a
+    repair (`_relax`) the one new edge u -> v may cost less than 0; it
+    is never followed, as v is the source and so reached first."""
     pi, succ = graph
     reached: dict[str, int] = {}
     heap = [(0, source)]

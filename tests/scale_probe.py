@@ -13,10 +13,18 @@ the number of `decide` calls and search nodes (`_propagate` calls) of
 one run, counted by wrappers the probe installs on the prover for the
 first run; then one line for `prove --json`: the best wall time and the
 number of records in the report; then one line for `pos`: the best wall
-time and the number of obligations it listed.  Last, one line per n in
+time and the number of obligations it listed.  Then one line per n in
 SHIFTED: the best of K wall times of `decide` on the valid
-`x in {0..n-1} |- x + 1 in {1..n}`, and its status.  Reports only, and
-asserts nothing.  Standard library and `bench/gen.py` only; not a test
+`x in {0..n-1} |- x + 1 in {1..n}`, and its status.  Last, one line for
+the `decide` pools of POOL_SEEDS (`gen.PINNED` plus
+`gen.random_sequents(seed, 2000, 8)` each, as in the benchmark's
+`decide` workload): the number of calls, their summed `visited`
+(counted by a `_Search` subclass the probe installs for one more run),
+a short sha256 digest of each call's status, reason, counterexample and
+`visited`, and the best of K wall times of deciding the whole pool.  The
+digest does not depend on PYTHONHASHSEED, so two versions of the prover
+that search alike print the same one.  Reports only, and asserts
+nothing.  Standard library and `bench/gen.py` only; not a test
 module.
 """
 
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -43,6 +52,7 @@ MODES = {"default": [], "--all-hyps": ["--all-hyps"]}
 POS = ["--hint-mode", "pog", "--format", "json"]
 SHIFTED = (400, 800)
 COUNTED = {"decide": "decide calls", "_propagate": "search nodes"}
+POOL_SEEDS = (101, 107)
 
 
 @contextlib.contextmanager
@@ -65,6 +75,32 @@ def counted():
     finally:
         for name, function in originals.items():
             setattr(prover, name, function)
+
+
+@contextlib.contextmanager
+def searches():
+    """Lists the `_Search` of each `decide` call while it runs."""
+    made = []
+    plain = prover._Search
+
+    class Recording(plain):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            made.append(self)
+
+    prover._Search = Recording
+    try:
+        yield made
+    finally:
+        prover._Search = plain
+
+
+def decide_pool(sequents: list) -> float:
+    """Wall time of `decide` on each sequent in turn."""
+    start = time.perf_counter()
+    for hyps, goal in sequents:
+        prover.decide(hyps, goal)
+    return time.perf_counter() - start
 
 
 def run(args: list[str]) -> tuple[float, str]:
@@ -115,6 +151,22 @@ def main(argv: list[str] | None = None) -> int:
             times.append(time.perf_counter() - start)
         print(f"scale probe decide x in {{0..{n - 1}}} |- x + 1 in {{1..{n}}}: "
               f"{min(times):.3f} s (best of {args.repeat}), {decision.status}")
+    sequents = [
+        (tuple(parse_predicate(h) for h in hyps), parse_predicate(goal))
+        for seed in POOL_SEEDS
+        for hyps, goal in list(gen.PINNED) + gen.random_sequents(seed, 2000, 8)
+    ]
+    calls = []
+    with searches() as made:
+        for hyps, goal in sequents:
+            d = prover.decide(hyps, goal)
+            visited = made.pop().visited if made else 0  # none when the NNF stops
+            calls.append([d.status, d.reason, d.counterexample, visited])
+    best = min(decide_pool(sequents) for _ in range(args.repeat))
+    digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()[:12]
+    print(f"scale probe decide pools {', '.join(map(str, POOL_SEEDS))}: {len(calls)} calls, "
+          f"{sum(call[3] for call in calls)} visited, digest {digest}, "
+          f"{best:.3f} s (best of {args.repeat})")
     return 0
 
 

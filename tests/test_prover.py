@@ -443,9 +443,13 @@ def _edges(*edges):
 # at its shortest drop through b (-10); the stale entry for a must not
 # raise it again
 @example(_edges(("v", "a", 5), ("v", "b", 0), ("b", "a", 0), ("u", "v", -10)), {})
+# the repair from a reaches b within -gap - 1 = 2 exactly when the cycle
+# a -> b -> a is negative: -1 closes one, 0 does not
+@example(_edges(("a", "b", 2), ("b", "a", -3)), {})
+@example(_edges(("a", "b", 3), ("b", "a", -3)), {})
 def test_difference_graph_agrees_with_fourier_motzkin(assignment, other):
     search = prover._Search(None)
-    graph = prover._check(prover._ROOT, assignment, search)
+    graph = prover._check(prover._ROOT, prover._rows(assignment), search)
     fm_search = prover._Search(None)
     feasible, sample = fourier_motzkin(assignment, fm_search)
     assert (graph is not None) == feasible
@@ -461,7 +465,7 @@ def test_difference_graph_agrees_with_fourier_motzkin(assignment, other):
         if extra:
             key, value = next(iter(extra.items()))
             before = search.visited
-            switched = prover._check(graph, {key: value}, search)
+            switched = prover._check(graph, prover._rows({key: value}), search)
             fm_search = prover._Search(None)
             feasible, sample = fourier_motzkin({**assignment, key: value}, fm_search)
             assert (switched is not None) == feasible
@@ -477,14 +481,16 @@ def test_difference_graph_agrees_with_fourier_motzkin(assignment, other):
 # a cycle of length 0 with it, not a negative one
 @example(_edges(("b", "a", 3)), _edges(("a", "b", -3)))
 def test_graph_implies_a_literal_exactly_when_its_complement_closes_a_cycle(assignment, literals):
-    graph = prover._check(prover._ROOT, assignment, prover._Search(None))
+    graph = prover._check(prover._ROOT, prover._rows(assignment), prover._Search(None))
     assume(graph is not None)
     key, polarity = next(iter(literals.items()))
+    assume(key not in assignment)  # the search asks only about unassigned literals
     implied = prover._implied(("lit", key, polarity), graph)
 
     def refuted(value):
-        [edge] = [prover._edge(row) for row in prover._rows({key: value})]
-        return prover._relax(graph, [edge], prover._Search(None)) is None
+        # Fourier-Motzkin, as `_relax` shares `_reach` with `_implied`
+        feasible, _ = fourier_motzkin({**assignment, key: value}, prover._Search(None))
+        return not feasible
 
     assert (implied.get(key) is False) == refuted(True)
     assert (implied.get(key) is True) == refuted(False)
@@ -503,6 +509,17 @@ def test_a_branch_the_root_graph_decides_takes_no_node(monkeypatch):
     monkeypatch.setattr(prover, "_propagate", counting)
     decision, visited = decide_visited(monkeypatch, (p("x = y + 1"),), p("y = x - 1"))
     assert (decision.status, len(nodes), visited) == (PROVED, 1, 4)
+
+
+# a node that assigns no linear literal keeps its parent's theory state,
+# which was checked already: the model on the branch a in S is not
+# checked again (x >= 0 ticks once in the graph, x + y <= 3 twice in
+# Fourier-Motzkin)
+@pytest.mark.parametrize("row, visited", [("x >= 0", 3), ("x + y <= 3", 4)])
+def test_a_node_that_adds_no_rows_is_not_checked_again(monkeypatch, row, visited):
+    decision, count = decide_visited(monkeypatch, (p(row), p("a in S or b in S")), p("false"))
+    reason = "countermodel constrains opaque set memberships"
+    assert (decision.status, decision.reason, count) == (UNPROVED, reason, visited)
 
 
 @pytest.mark.parametrize("only_selected, status, eliminations", [(False, PROVED, 0), (True, UNPROVED, 1)])
