@@ -166,19 +166,21 @@ class Operator(NamedTuple):
     spelling: str  # canonical ASCII
     level: int  # precedence: a larger level binds tighter
     right: bool  # groups to the right
+    smt: str  # the SMT-LIB 2 function
 
 
-#: The binary operators by node class, the table that the parser and
-#: the printer read.  Three levels are not binary operators: ``not``,
-#: the comparisons with ``in`` (non-associative), and unary minus.
+#: The binary operators by node class, the table that the parser, the
+#: printer, the type checker and the SMT-LIB export read.  Three levels
+#: are not binary operators: ``not``, the comparisons with ``in``
+#: (non-associative), and unary minus.
 BINARY: dict[type, Operator] = {
-    Iff: Operator("<=>", 1, True),
-    Implies: Operator("=>", 2, True),
-    Or: Operator("or", 3, False),
-    And: Operator("&", 4, False),
-    Add: Operator("+", 7, False),
-    Sub: Operator("-", 7, False),
-    Mul: Operator("*", 8, False),
+    Iff: Operator("<=>", 1, True, "="),
+    Implies: Operator("=>", 2, True, "=>"),
+    Or: Operator("or", 3, False, "or"),
+    And: Operator("&", 4, False, "and"),
+    Add: Operator("+", 7, False, "+"),
+    Sub: Operator("-", 7, False, "-"),
+    Mul: Operator("*", 8, False, "*"),
 }
 NOT_LEVEL, COMPARISON_LEVEL, MINUS_LEVEL = 5, 6, 9
 
@@ -239,17 +241,12 @@ def free_identifiers(f: Formula) -> frozenset[str]:
 
 
 def _rebuild(f: Formula, new: tuple[Formula, ...]) -> Formula:
+    """``f`` over the subformulas ``new``, in the order `children` gives."""
     if isinstance(f, Comparison):
-        return Comparison(f.op, new[0], new[1], loc=f.loc)
-    if isinstance(f, Membership):
-        return Membership(new[0], new[1], loc=f.loc)
-    if type(f) in BINARY:
-        return type(f)(new[0], new[1], loc=f.loc)
-    if isinstance(f, _UNARY):
-        return type(f)(new[0], loc=f.loc)
+        return Comparison(f.op, *new, loc=f.loc)
     if isinstance(f, SetLiteral):
-        return SetLiteral(tuple(new), loc=f.loc)
-    raise AssertionError(f"cannot rebuild {type(f).__name__}")
+        return SetLiteral(new, loc=f.loc)
+    return type(f)(*new, loc=f.loc)
 
 
 def numbered(base: str) -> Iterator[str]:

@@ -29,6 +29,7 @@ quantifier when it is an operand.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import replace
 from functools import lru_cache, partial
@@ -568,7 +569,7 @@ class Loader:
         """The file's component and parse diagnostics, carrying
         ``spelling`` as their path; a file that cannot be read raises
         ``OSError``."""
-        key = path.resolve()
+        key = Path(os.path.realpath(path))  # unlike `Path.resolve`, no error on a symlink loop
         if key not in self.parses:
             self.parses[key] = try_parse(_read(path), spelling)
         component, diags = self.parses[key]
@@ -688,8 +689,6 @@ def load_model(path: str | Path, loader: Loader | None = None) -> tuple[Model | 
     if isinstance(component, Context):
         chain = loader.context_chain(p.parent, component.extends, str(p)) + [component]
         model = Model(Machine(name=component.name), tuple(chain), None)
-        return (model if not loader.diagnostics else None), diags + loader.diagnostics
-    model = loader.model(component, p.parent, str(p))
-    if loader.diagnostics:
-        return None, diags + loader.diagnostics
-    return model, []
+    else:
+        model = loader.model(component, p.parent, str(p))
+    return (None if loader.diagnostics else model), loader.diagnostics

@@ -112,18 +112,12 @@ def _hyps(facts: Iterable[LabeledPredicate], selected: bool = False) -> tuple[Hy
 
 
 def _ba_hyps(model: Model, event: Event) -> tuple[Hypothesis, ...]:
-    hyps = [
-        Hypothesis(c.label, c.predicate, selected=True)
-        for c in before_after(event, model.machine.variables)
-    ]
+    variables = model.machine.variables
     if model.abstract is not None and not event.refines and not event.is_initialisation:
         # A new event leaves the abstract state alone: frame conjuncts
         # for disappearing variables stand in for the missing witnesses.
-        hyps += (
-            Hypothesis("BA:" + v, Comparison("=", Ident(v, primed=True), Ident(v)), selected=True)
-            for v in model.disappearing_variables()
-        )
-    return tuple(hyps)
+        variables += model.disappearing_variables()
+    return tuple(Hypothesis(c.label, c.predicate, selected=True) for c in before_after(event, variables))
 
 
 class _EventHyps(NamedTuple):

@@ -216,6 +216,10 @@ def _relation(op: str, difference: _Linear):
     return ("or", (_atom(coeffs, -const - 1), _atom(negated, const - 1)))
 
 
+#: The comparison that holds exactly when the key does not.
+_NEGATED = {"=": "/=", "/=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
+
+
 def _nnf(f: Formula, positive: bool):
     """Negation normal form tree over linear and opaque literals.
 
@@ -244,20 +248,12 @@ def _nnf(f: Formula, positive: bool):
         neither = ("and", (_nnf(f.left, not positive), _nnf(f.right, False)))
         return ("or", (both, neither))
     if isinstance(f, Comparison):
-        return _comparison(f, positive)
+        return _relation(f.op if positive else _NEGATED[f.op], _minus(_linear(f.left), _linear(f.right)))
     if isinstance(f, Membership):
         return _membership(f, positive)
     if isinstance(f, Quantifier):
         raise _Stop(UNSUPPORTED, f"quantified goal or hypothesis: {print_formula(f)}")
     raise _Stop(UNSUPPORTED, f"cannot decide {print_formula(f)}")
-
-
-def _comparison(f: Comparison, positive: bool):
-    op = f.op
-    if not positive:
-        flip = {"=": "/=", "/=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
-        op = flip[op]
-    return _relation(op, _minus(_linear(f.left), _linear(f.right)))
 
 
 def _membership(f: Membership, positive: bool):

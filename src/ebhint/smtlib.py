@@ -10,25 +10,19 @@ uninterpreted Int -> Bool functions.
 from __future__ import annotations
 
 from .formula import (
-    Add,
-    And,
+    BINARY,
     Comparison,
     Falsity,
     Formula,
     Ident,
-    Iff,
-    Implies,
     IntLiteral,
     IntSet,
     Membership,
     Minus,
-    Mul,
     NatSet,
     Not,
-    Or,
     Quantifier,
     SetLiteral,
-    Sub,
     Truth,
     free_identifiers,
     named_sets,
@@ -53,18 +47,15 @@ def _term(f: Formula) -> str:
         return _symbol(f.key)
     if isinstance(f, Minus):
         return f"(- {_term(f.operand)})"
-    if isinstance(f, (Add, Sub, Mul)):
-        op = {Add: "+", Sub: "-", Mul: "*"}[type(f)]
-        return f"({op} {_term(f.left)} {_term(f.right)})"
+    op = BINARY.get(type(f))
+    if op is not None:
+        return f"({op.smt} {_term(f.left)} {_term(f.right)})"
     if isinstance(f, Truth):
         return "true"
     if isinstance(f, Falsity):
         return "false"
     if isinstance(f, Not):
         return f"(not {_term(f.operand)})"
-    if isinstance(f, (And, Or, Implies, Iff)):
-        op = {And: "and", Or: "or", Implies: "=>", Iff: "="}[type(f)]
-        return f"({op} {_term(f.left)} {_term(f.right)})"
     if isinstance(f, Comparison):
         left, right = _term(f.left), _term(f.right)
         if f.op == "/=":

@@ -21,14 +21,12 @@ from typing import Iterable
 
 from .diagnostics import Diagnostic, sort_key
 from .formula import (
-    Add,
-    And,
+    BINARY,
+    COMPARISON_LEVEL,
     Comparison,
     Falsity,
     Formula,
     Ident,
-    Iff,
-    Implies,
     IntLiteral,
     IntSet,
     Loc,
@@ -37,10 +35,8 @@ from .formula import (
     Mul,
     NatSet,
     Not,
-    Or,
     Quantifier,
     SetLiteral,
-    Sub,
     Truth,
     free_identifiers,
     named_sets,
@@ -102,20 +98,15 @@ class _Checker:
         if isinstance(f, Minus):
             self.want(f.operand, INT, scope, "arithmetic operand")
             return INT
-        if isinstance(f, (Add, Sub)):
-            self.want(f.left, INT, scope, "arithmetic operand")
-            self.want(f.right, INT, scope, "arithmetic operand")
-            return INT
-        if isinstance(f, Mul):
-            if not (_is_literal(f.left) or _is_literal(f.right)):
-                self.report(
-                    "nonlinear-multiplication",
-                    "multiplication needs an integer literal operand",
-                    f.loc,
-                )
-            self.want(f.left, INT, scope, "arithmetic operand")
-            self.want(f.right, INT, scope, "arithmetic operand")
-            return INT
+        op = BINARY.get(type(f))
+        if op is not None:
+            if isinstance(f, Mul) and not (_is_literal(f.left) or _is_literal(f.right)):
+                self.report("nonlinear-multiplication", "multiplication needs an integer literal operand", f.loc)
+            # the levels above the comparisons are arithmetic, those below logical
+            t, what = (INT, "arithmetic operand") if op.level > COMPARISON_LEVEL else (BOOL, "logical operand")
+            self.want(f.left, t, scope, what)
+            self.want(f.right, t, scope, what)
+            return t
         if isinstance(f, Comparison):
             self.want(f.left, INT, scope, "comparison operand")
             self.want(f.right, INT, scope, "comparison operand")
@@ -126,10 +117,6 @@ class _Checker:
             return BOOL
         if isinstance(f, Not):
             self.want(f.operand, BOOL, scope, "operand of 'not'")
-            return BOOL
-        if isinstance(f, (And, Or, Implies, Iff)):
-            self.want(f.left, BOOL, scope, "logical operand")
-            self.want(f.right, BOOL, scope, "logical operand")
             return BOOL
         if isinstance(f, Quantifier):
             self.want(f.body, BOOL, _ints(scope, (b.key for b in f.binders)), "quantifier body")

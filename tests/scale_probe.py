@@ -9,11 +9,13 @@ events, 2,500 INV obligations), to a temporary directory and runs
 `ebhint prove` on it in-process, K times per mode (3 by default), then
 `prove --json <tmp>/report.json` K times, then `pos` K times.  Prints
 one line per mode: the best wall time, the command's summary line, and
-the number of `decide` calls and search nodes (`_propagate` calls) of
-one run, counted by wrappers the probe installs on the prover for the
-first run; then one line for `prove --json`: the best wall time and the
-number of records in the report; then one line for `pos`: the best wall
-time and the number of obligations it listed.  Then one line per n in
+the work of one run, counted by wrappers the probe installs on the
+prover for the first run: `decide` calls, search nodes (`_propagate`
+calls), difference-graph checks (`_relax`), Fourier-Motzkin (FM)
+extensions (`_extend`) and eliminations (`_eliminate`); then one line
+for `prove --json`: the best wall time and the number of records in the
+report; then one line for `pos`: the best wall time and the number of
+obligations it listed.  Then one line per n in
 SHIFTED: the best of K wall times of `decide` on the valid
 `x in {0..n-1} |- x + 1 in {1..n}`, and its status.  Last, one line for
 the `decide` pools of POOL_SEEDS (`gen.PINNED` plus
@@ -51,7 +53,13 @@ from ebhint.cli import main as ebhint  # noqa: E402
 MODES = {"default": [], "--all-hyps": ["--all-hyps"]}
 POS = ["--hint-mode", "pog", "--format", "json"]
 SHIFTED = (400, 800)
-COUNTED = {"decide": "decide calls", "_propagate": "search nodes"}
+COUNTED = {
+    "decide": "decide calls",
+    "_propagate": "search nodes",
+    "_relax": "graph checks",
+    "_extend": "FM extensions",
+    "_eliminate": "eliminations",
+}
 POOL_SEEDS = (101, 107)
 
 

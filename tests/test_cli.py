@@ -67,6 +67,20 @@ def test_check_non_utf8_file_is_io_error(tmp_path):
     assert len(result.output.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "pos", "prove", "export-smt"])
+def test_a_symlink_loop_is_io_error(tmp_path, command):
+    loop = tmp_path / "loop.ebh"
+    try:
+        loop.symlink_to(loop.name)
+    except (OSError, NotImplementedError):
+        pytest.skip("symlinks cannot be made here")
+    result = run_cli(command, str(loop), *(["loop/i1/INV"] if command == "export-smt" else []))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+    assert len(result.output.splitlines()) == 1
+
+
 def test_check_non_utf8_refined_machine_is_unresolved(tmp_path):
     (tmp_path / "abs.ebh").write_bytes(b"machine abs\n\xff\xfe\n")
     src = tmp_path / "m.ebh"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import FIXTURES
 from ebhint.formula import Ident, Membership, SetLiteral, Truth
 from ebhint.model import Hypothesis, ProofObligation, Sequent
@@ -53,6 +55,19 @@ def test_export_labels_every_assertion():
     for i, line in enumerate(body):
         if line.startswith("(assert") and i > 0:
             assert body[i - 1].startswith("; ")
+
+
+@pytest.mark.parametrize("goal, term", [
+    ("x = 0 <=> y = 0", "(= (= x 0) (= y 0))"),
+    ("x = 0 & y = 0", "(and (= x 0) (= y 0))"),
+    ("x = 0 => y = 0", "(=> (= x 0) (= y 0))"),
+    ("x = 0 or y = 0", "(or (= x 0) (= y 0))"),
+    ("x + y = 0", "(= (+ x y) 0)"),
+    ("x - y = 0", "(= (- x y) 0)"),
+    ("2 * x = 0", "(= (* 2 x) 0)"),
+])
+def test_export_spells_each_binary_operator(goal, term):
+    assert asserts_of(export_smt(mk_po([], goal))) == [f"(assert (not {term}))"]
 
 
 def test_export_trivial_goal():

@@ -324,6 +324,9 @@ DIAGNOSTICS = [
     ("type-error boolean literal operand", _machine("", "  i1: x + true = 0\n"), {}, [
         "<model>:4:11: type-error: arithmetic operand must be integer, found boolean",
     ]),
+    ("type-error logical operand", _machine("", "  i1: x & x = 0\n"), {}, [
+        "<model>:4:7: type-error: logical operand must be boolean, found integer",
+    ]),
     ("nonlinear-multiplication", _machine("", "  i1: x * y = 0\n"), {}, [
         '<model>:4:9: nonlinear-multiplication: multiplication needs an integer literal operand',
     ]),
