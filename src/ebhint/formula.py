@@ -167,20 +167,21 @@ class Operator(NamedTuple):
     level: int  # precedence: a larger level binds tighter
     right: bool  # groups to the right
     smt: str  # the SMT-LIB 2 function
+    apply: Callable  # the Python function, on the operands' values
 
 
 #: The binary operators by node class, the table that the parser, the
-#: printer, the type checker and the SMT-LIB export read.  Three levels
-#: are not binary operators: ``not``, the comparisons with ``in``
-#: (non-associative), and unary minus.
+#: printer, the type checker, `evaluate` and the SMT-LIB export read.
+#: Three levels are not binary operators: ``not``, the comparisons with
+#: ``in`` (non-associative), and unary minus.
 BINARY: dict[type, Operator] = {
-    Iff: Operator("<=>", 1, True, "="),
-    Implies: Operator("=>", 2, True, "=>"),
-    Or: Operator("or", 3, False, "or"),
-    And: Operator("&", 4, False, "and"),
-    Add: Operator("+", 7, False, "+"),
-    Sub: Operator("-", 7, False, "-"),
-    Mul: Operator("*", 8, False, "*"),
+    Iff: Operator("<=>", 1, True, "=", operator.eq),
+    Implies: Operator("=>", 2, True, "=>", operator.le),  # on bools, a <= b is a => b
+    Or: Operator("or", 3, False, "or", operator.or_),
+    And: Operator("&", 4, False, "and", operator.and_),
+    Add: Operator("+", 7, False, "+", operator.add),
+    Sub: Operator("-", 7, False, "-", operator.sub),
+    Mul: Operator("*", 8, False, "*", operator.mul),
 }
 NOT_LEVEL, COMPARISON_LEVEL, MINUS_LEVEL = 5, 6, 9
 
@@ -193,6 +194,10 @@ COMPARISONS: dict[str, Callable[[int, int], bool]] = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+
+#: The keyword of each node class that is a formula on its own, the
+#: table that the parser and the printer read.
+CONSTANTS: dict[type, str] = {Truth: "true", Falsity: "false", NatSet: "NAT", IntSet: "INT"}
 
 _UNARY = (Not, Minus)
 
@@ -317,13 +322,16 @@ class Unevaluable(Exception):
 def evaluate(f: Formula, valuation: Mapping[str, int]):
     """Evaluate a quantifier-free formula under an integer valuation.
 
-    Predicates yield bool, expressions int.  Membership in a named set
-    and quantifiers raise :class:`Unevaluable`.
+    Predicates yield bool, expressions int.  Both operands of every
+    binary operator are evaluated, of ``&``, ``or`` and ``=>`` too, so
+    ``false & x in S`` raises like ``x in S`` does.  Membership in a
+    named set and quantifiers raise :class:`Unevaluable`.
     """
-    if isinstance(f, Truth):
-        return True
-    if isinstance(f, Falsity):
-        return False
+    op = BINARY.get(type(f))
+    if op is not None:
+        return op.apply(evaluate(f.left, valuation), evaluate(f.right, valuation))
+    if isinstance(f, (Truth, Falsity)):
+        return isinstance(f, Truth)
     if isinstance(f, IntLiteral):
         return f.value
     if isinstance(f, Ident):
@@ -333,22 +341,8 @@ def evaluate(f: Formula, valuation: Mapping[str, int]):
             raise Unevaluable(f"no value for {f.key}") from None
     if isinstance(f, Minus):
         return -evaluate(f.operand, valuation)
-    if isinstance(f, Add):
-        return evaluate(f.left, valuation) + evaluate(f.right, valuation)
-    if isinstance(f, Sub):
-        return evaluate(f.left, valuation) - evaluate(f.right, valuation)
-    if isinstance(f, Mul):
-        return evaluate(f.left, valuation) * evaluate(f.right, valuation)
     if isinstance(f, Not):
         return not evaluate(f.operand, valuation)
-    if isinstance(f, And):
-        return evaluate(f.left, valuation) and evaluate(f.right, valuation)
-    if isinstance(f, Or):
-        return evaluate(f.left, valuation) or evaluate(f.right, valuation)
-    if isinstance(f, Implies):
-        return (not evaluate(f.left, valuation)) or evaluate(f.right, valuation)
-    if isinstance(f, Iff):
-        return evaluate(f.left, valuation) == evaluate(f.right, valuation)
     if isinstance(f, Comparison):
         return COMPARISONS[f.op](evaluate(f.left, valuation), evaluate(f.right, valuation))
     if isinstance(f, Membership):

@@ -27,6 +27,9 @@ class LabeledPredicate:
 DETERMINISTIC = "deterministic"
 MEMBER_OF = "memberOf"
 SUCH_THAT = "suchThat"
+#: The operator of each assignment kind, the table that the parser and
+#: the printer read.
+ASSIGNMENT_OPERATORS = {DETERMINISTIC: ":=", MEMBER_OF: "::", SUCH_THAT: ":|"}
 
 
 @dataclass(frozen=True)

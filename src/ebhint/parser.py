@@ -41,33 +41,29 @@ from .formula import (
     BINARY,
     COMPARISON_LEVEL,
     COMPARISONS,
+    CONSTANTS,
     NOT_LEVEL,
     Comparison,
-    Falsity,
     Formula,
     Ident,
     IntLiteral,
-    IntSet,
     Loc,
     Membership,
     Minus,
-    NatSet,
     Not,
     Predicate,
     Quantifier,
     SetLiteral,
-    Truth,
     children,
 )
 from .model import (
+    ASSIGNMENT_OPERATORS,
     Assignment,
     Context,
-    DETERMINISTIC,
     Event,
     Hint,
     INITIALISATION,
     LabeledPredicate,
-    MEMBER_OF,
     Machine,
     Model,
     SPLIT_CASE,
@@ -184,8 +180,9 @@ def _other_word(word: str, here: Loc, path: str) -> tuple[str, str, Loc]:
 _BINARY = {op.spelling: (cls, op.level, op.right) for cls, op in BINARY.items()}
 _LOOSEST = min(op.level for op in BINARY.values())
 _RELATIONS = frozenset({*COMPARISONS, "in"})  # the kinds `_comparison` reads
-# the keywords that are a formula on their own
-_CONSTANTS = {"true": Truth, "false": Falsity, "NAT": NatSet, "INT": IntSet}
+# `formula.CONSTANTS` and `model.ASSIGNMENT_OPERATORS` by token kind
+_CONSTANTS = {keyword: cls for cls, keyword in CONSTANTS.items()}
+_ASSIGNMENTS = {op: kind for kind, op in ASSIGNMENT_OPERATORS.items()}
 
 
 class Parser:
@@ -419,13 +416,8 @@ class Parser:
         self.expect(":", "':' after action label")
         targets = [t.text for t in self.ident_list("assignment target")]
         tok = self.peek()
-        if tok.kind == ":=":
-            kind = DETERMINISTIC
-        elif tok.kind == "::":
-            kind = MEMBER_OF
-        elif tok.kind == ":|":
-            kind = SUCH_THAT
-        else:
+        kind = _ASSIGNMENTS.get(tok.kind)
+        if kind is None:
             raise self.fail("expected ':=', '::' or ':|'")
         self.advance()
         if kind != SUCH_THAT and len(targets) != 1:

@@ -10,37 +10,30 @@ from __future__ import annotations
 from .formula import (
     BINARY,
     COMPARISON_LEVEL,
+    CONSTANTS,
     MINUS_LEVEL,
     NOT_LEVEL,
     Comparison,
-    Falsity,
     Formula,
     Ident,
     IntLiteral,
-    IntSet,
     Membership,
     Minus,
-    NatSet,
     Not,
     Quantifier,
     SetLiteral,
-    Truth,
 )
 from .model import (
+    ASSIGNMENT_OPERATORS,
     Assignment,
     Context,
-    DETERMINISTIC,
     Event,
     Hint,
     LabeledPredicate,
-    MEMBER_OF,
     Machine,
     SPLIT_CASE,
-    SUCH_THAT,
     Witness,
 )
-
-_ASSIGN_OP = {DETERMINISTIC: ":=", MEMBER_OF: "::", SUCH_THAT: ":|"}
 
 
 def _level(f: Formula) -> int:
@@ -70,18 +63,13 @@ def print_formula(f: Formula) -> str:
     op = BINARY.get(type(f))
     if op is not None:
         return f"{_at(f.left, op.level + op.right)} {op.spelling} {_at(f.right, op.level + (not op.right))}"
-    if isinstance(f, Truth):
-        return "true"
-    if isinstance(f, Falsity):
-        return "false"
+    keyword = CONSTANTS.get(type(f))
+    if keyword is not None:
+        return keyword
     if isinstance(f, IntLiteral):
         return str(f.value)
     if isinstance(f, Ident):
         return f.key
-    if isinstance(f, NatSet):
-        return "NAT"
-    if isinstance(f, IntSet):
-        return "INT"
     if isinstance(f, SetLiteral):
         return "{" + ", ".join(print_formula(e) for e in f.elements) + "}"
     if isinstance(f, Minus):  # bracket a literal, or -3 would read back as one
@@ -112,7 +100,7 @@ def _print_witness(w: Witness) -> str:
 
 
 def _print_action(a: Assignment) -> str:
-    return f"{a.label}: {', '.join(a.targets)} {_ASSIGN_OP[a.kind]} {print_formula(a.rhs)}"
+    return f"{a.label}: {', '.join(a.targets)} {ASSIGNMENT_OPERATORS[a.kind]} {print_formula(a.rhs)}"
 
 
 def print_hint(h: Hint) -> str:

@@ -879,28 +879,20 @@ def apply_hints_pog(poset: PoSet) -> tuple[PoSet, list[Diagnostic]]:
 
 def _expand(sequent: Sequent, trace: list[TraceStep]) -> list[Sequent]:
     """Apply intro, conjunction splitting and the one-point rule until
-    none of them fires."""
-    pending = [sequent]
-    leaves: list[Sequent] = []
-    while pending:
-        s = pending.pop(0)
-        intro_result = intro(s)
-        if intro_result is not None:
-            trace.append(TraceStep("intro", intro_result.hypotheses[-1].label))
-            pending.insert(0, intro_result)
-            continue
-        halves = split_conjunction(s)
-        if halves is not None:
-            trace.append(TraceStep("splitConjunction", "2 subgoals"))
-            pending[0:0] = list(halves)
-            continue
-        pinned = one_point(s.goal)
-        if pinned is not None:
-            trace.append(TraceStep("onePoint"))
-            pending.insert(0, s.with_goal(pinned))
-            continue
-        leaves.append(s)
-    return leaves
+    none of them fires, depth first."""
+    intro_result = intro(sequent)
+    if intro_result is not None:
+        trace.append(TraceStep("intro", intro_result.hypotheses[-1].label))
+        return _expand(intro_result, trace)
+    halves = split_conjunction(sequent)
+    if halves is not None:
+        trace.append(TraceStep("splitConjunction", "2 subgoals"))
+        return _expand(halves[0], trace) + _expand(halves[1], trace)
+    pinned = one_point(sequent.goal)
+    if pinned is not None:
+        trace.append(TraceStep("onePoint"))
+        return _expand(sequent.with_goal(pinned), trace)
+    return [sequent]
 
 
 def _close(sequent: Sequent, deadline: float, trace: list[TraceStep], memo: Memo | None) -> Decision:
@@ -955,36 +947,19 @@ def prove_obligation(
         leaves = [s.select(set(s.labels())) for s in leaves]
         trace.append(TraceStep("selectAll"))
     elif options.lasso:
-        lassoed: list[Sequent] = []
-        added = 0
-        for s in leaves:
-            widened, n = tactic_lasso(s)
-            lassoed.append(widened)
-            added += n
-        leaves = lassoed
-        trace.append(TraceStep("tacticLasso", f"selected {added} more"))
+        lassoed = [tactic_lasso(s) for s in leaves]
+        leaves = [s for s, _ in lassoed]
+        trace.append(TraceStep("tacticLasso", f"selected {sum(n for _, n in lassoed)} more"))
 
-    statuses: list[str] = []
-    counterexample = None
-    reasons: list[str] = []
-    for s in leaves:
-        decision = _close(s, deadline, trace, memo)
-        statuses.append(decision.status)
-        reasons.append(decision.reason)
-        if counterexample is None and decision.counterexample is not None:
-            counterexample = decision.counterexample
-
-    status = worst_status(statuses)
-    reason = "; ".join(dict.fromkeys(reasons)) if reasons else "no goals"
-
-    selected_labels = sorted({label for s in leaves for label in s.selected_labels()})
+    # `_expand` and `apply_hint` leave at least one leaf to decide
+    decisions = [_close(s, deadline, trace, memo) for s in leaves]
     return ProofResult(
         name=po.name,
         kind=po.kind,
-        status=status,
-        reason=reason,
-        selected_labels=tuple(selected_labels),
+        status=worst_status(d.status for d in decisions),
+        reason="; ".join(dict.fromkeys(d.reason for d in decisions)),
+        selected_labels=tuple(sorted({label for s in leaves for label in s.selected_labels()})),
         hint_applied=hint_applied,
         trace=tuple(trace),
-        counterexample=counterexample,
+        counterexample=next((d.counterexample for d in decisions if d.counterexample is not None), None),
     )

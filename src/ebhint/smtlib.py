@@ -3,8 +3,9 @@
 The sequent is normalised first: deterministic before-after equations
 are inlined, so the script talks about pre-state variables wherever
 possible.  Identifiers that only exist after the transition keep their
-prime and are quoted (``|x'|``).  Declared carrier sets become
-uninterpreted Int -> Bool functions.
+prime and are quoted (``|x'|``), as are reserved words and non-ASCII
+names; see `_symbol`.  Declared carrier sets become uninterpreted
+Int -> Bool functions.
 """
 
 from __future__ import annotations
@@ -32,8 +33,23 @@ from .model import Hypothesis, ProofObligation
 from .pog import normalize_deterministic_ba
 
 
+# The words that SMT-LIB 2.6 reserves and an identifier can spell, command
+# names included, and the functions that Core and Ints predefine.
+_RESERVED = frozenset(
+    "_ as let match par BINARY DECIMAL HEXADECIMAL NUMERAL STRING assert echo exit pop push reset".split()
+)
+_PREDEFINED = frozenset("and xor distinct ite div mod abs".split())
+
+
 def _symbol(key: str) -> str:
-    return f"|{key}|" if key.endswith("'") else key
+    """The key itself when it is a simple symbol, else quoted.  Quoting
+    keeps a predefined name the same symbol, so that one gets a trailing
+    ``.``, which no identifier can spell."""
+    if key in _PREDEFINED:
+        return f"|{key}.|"
+    if key.endswith("'") or key in _RESERVED or not key.isascii():
+        return f"|{key}|"
+    return key
 
 
 def _int(value: int) -> str:

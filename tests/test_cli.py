@@ -6,6 +6,8 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS, run_cli, statuses_from
+import ebhint
 from ebhint import cli, parser, prover
 from ebhint.printer import print_formula
 
@@ -710,3 +713,17 @@ def test_version_flag():
     result = run_cli("--version")
     assert result.exit_code == 0
     assert "0.1.0" in result.output
+
+
+def test_version_flag_without_installation():
+    # README's `PYTHONPATH=src python -m ebhint.cli --version`, from the repository root
+    root = Path(ebhint.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-m", "ebhint.cli", "--version"],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"ebhint, version {ebhint.__version__}\n", "")

@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle
 from ebhint.formula import (
+    COMPARISONS,
+    Add,
     And,
     Comparison,
+    Falsity,
     Ident,
+    Iff,
+    Implies,
     IntLiteral,
+    IntSet,
     Membership,
+    Minus,
+    Mul,
     NatSet,
+    Not,
+    Or,
     Quantifier,
     SetLiteral,
+    Sub,
     Truth,
     Unevaluable,
     conjunction,
@@ -25,7 +38,7 @@ from ebhint.formula import (
     substitute,
     walk,
 )
-from strategies import NAMES, exprs, predicates
+from strategies import NAMES, constants, exprs, idents, predicates
 
 
 def test_free_identifiers_distinguish_primes():
@@ -111,9 +124,54 @@ def test_evaluate_named_set_raises():
         evaluate(Membership(Ident("x"), Ident("S")), {"x": 1, "S": 0})
 
 
+def test_evaluate_takes_both_operands_of_a_connective():
+    # false whatever S is, but `evaluate` takes both operands
+    with pytest.raises(Unevaluable):
+        evaluate(And(Falsity(), Membership(Ident("x"), Ident("S"))), {"x": 1})
+
+
 def test_evaluate_quantifier_raises():
     with pytest.raises(Unevaluable):
         evaluate(Quantifier("exists", (Ident("y"),), Comparison(">", Ident("y"), IntLiteral(0))), {})
+
+
+def _binary(classes, inner):
+    return st.tuples(st.sampled_from(classes), inner, inner).map(lambda t: t[0](t[1], t[2]))
+
+
+# every node kind `evaluate` takes, unlike `strategies.predicates`: all
+# seven binary operators, unary minus and `true`, `false` and `INT`
+_int_terms = st.recursive(
+    st.one_of(idents, constants),
+    lambda inner: st.one_of(inner.map(Minus), _binary([Add, Sub, Mul], inner)),
+    max_leaves=4,
+)
+_containers = st.one_of(
+    st.sampled_from([NatSet(), IntSet()]),
+    st.lists(_int_terms, max_size=3).map(lambda es: SetLiteral(tuple(es))),
+)
+_all_kinds = st.recursive(
+    st.one_of(
+        st.sampled_from([Truth(), Falsity()]),
+        st.tuples(st.sampled_from(sorted(COMPARISONS)), _int_terms, _int_terms).map(lambda t: Comparison(*t)),
+        st.tuples(_int_terms, _containers).map(lambda t: Membership(*t)),
+    ),
+    lambda inner: st.one_of(inner.map(Not), _binary([And, Or, Implies, Iff], inner)),
+    max_leaves=6,
+)
+_points = st.fixed_dictionaries({n: st.integers(-8, 8) for n in NAMES})
+
+
+@given(_int_terms, _points)
+def test_evaluate_expressions_agree_with_the_grid_oracle(e, point):
+    env = {k: np.int64(v) for k, v in point.items()}
+    assert evaluate(e, point) == int(oracle._expr(e, env))
+
+
+@given(_binary([And, Or, Implies, Iff], _all_kinds), _points)  # a connective on top: each is reached often
+def test_evaluate_predicates_agree_with_the_grid_oracle(f, point):
+    env = {k: np.int64(v) for k, v in point.items()}
+    assert evaluate(f, point) is bool(oracle._pred(f, env))
 
 
 def test_walk_preorder():

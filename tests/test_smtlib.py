@@ -114,6 +114,17 @@ def test_export_primed_identifiers_are_quoted():
             assert "|" in line
 
 
+def test_export_quotes_what_smtlib_reserves_predefines_or_cannot_spell():
+    script = export_smt(mk_po(["and + div = let", "é > abs"], "x in mod"))
+    # a quoted predefined name would still be the function, so it gets a "."
+    for name in ("|and.|", "|div.|", "|let|", "|é|", "|abs.|"):
+        assert f"(declare-const {name} Int)" in script
+    assert "(declare-const x Int)" in script
+    assert "(declare-fun |mod.| (Int) Bool)" in script
+    assert "(assert (= (+ |and.| |div.|) |let|))" in script
+    assert "(assert (not (|mod.| x)))" in script
+
+
 def test_export_int_membership_is_true():
     script = export_smt(mk_po([], "x in INT"))
     assert "(assert (not true))" in script
