@@ -35,6 +35,7 @@ from .prover import (
     tactic_lasso,
     tactic_select,
 )
+from .record import replace
 from .smtlib import export_smt
 from .wellformed import check_new_events, wellformed
 
@@ -72,6 +73,7 @@ __all__ = [
     "pretty_print",
     "print_formula",
     "prove_obligation",
+    "replace",
     "split_conjunction",
     "tactic_cut",
     "tactic_lasso",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .parser import Loader, load_model
 from .pog import generate
 from .printer import print_formula
 from .prover import PROVED, UNPROVED, Memo, ProofResult, ProveOptions, apply_hints_pog, prove_obligation
+from .record import replace
 from .smtlib import export_smt
 from .wellformed import check_new_events, wellformed
 

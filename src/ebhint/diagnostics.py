@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import Loc
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     """A reported problem with a stable machine-readable code."""
 

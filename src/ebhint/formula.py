@@ -2,9 +2,9 @@
 
 A single recursive node type covers both predicates and integer
 expressions; the well-formedness checker decides which is legal where.
-Nodes are immutable and compare structurally, with source locations
-excluded from equality so parse / pretty-print round trips can be
-checked with ``==``.
+Nodes are slotted records (see `ebhint.record`): immutable, and
+compared structurally, with source locations excluded from equality so
+parse / pretty-print round trips can be checked with ``==``.
 
 Primed identifiers (post-state values such as ``x'``) are ordinary
 identifiers carrying a flag; a doubly primed identifier is not
@@ -15,9 +15,10 @@ their *key*: the name with a trailing apostrophe when primed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+
+from .record import position, record
 
 
 class Loc(NamedTuple):
@@ -27,11 +28,11 @@ class Loc(NamedTuple):
     column: int
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Formula:
     """Base class of every predicate and expression node."""
 
-    loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
+    loc: Loc | None = position()
 
 
 # The distinction is enforced by type checking, not by the class tree.
@@ -41,59 +42,59 @@ Predicate = Formula
 # --- predicate nodes -------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Truth(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Falsity(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Comparison(Formula):
     op: str
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Membership(Formula):
     element: Formula
     container: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Quantifier(Formula):
     """``exists`` or ``forall`` over one or more integer identifiers."""
 
@@ -105,12 +106,12 @@ class Quantifier(Formula):
 # --- expression nodes ------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class IntLiteral(Formula):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Ident(Formula):
     name: str
     primed: bool = False
@@ -120,26 +121,26 @@ class Ident(Formula):
         return self.name + "'" if self.primed else self.name
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Minus(Formula):
     """Unary arithmetic negation."""
 
     operand: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Add(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Sub(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Mul(Formula):
     """Multiplication; well-formedness requires one literal operand."""
 
@@ -147,17 +148,17 @@ class Mul(Formula):
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class SetLiteral(Formula):
     elements: tuple[Formula, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class NatSet(Formula):
     """The natural numbers (membership means >= 0)."""
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class IntSet(Formula):
     """The integers (membership is trivially true)."""
 

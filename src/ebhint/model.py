@@ -1,26 +1,28 @@
 """Model types: contexts, machines, events, hints, sequents, obligations.
 
-Everything is a frozen dataclass holding tuples, so models are safe to
-share and compare structurally.  Source locations, of declared names too, and
-the file a loaded machine or context came from never take part in equality.
+Everything is an immutable record (see `ebhint.record`) holding tuples,
+so models are safe to share and compare structurally.  Source locations,
+of declared names too, and the file a loaded machine or context came
+from are `position` fields: they never take part in equality, and
+`replace` keeps them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import count, zip_longest
 from typing import Iterator
 
 from .formula import Formula, Ident, Loc, Predicate, numbered
+from .record import position, record, replace
 
 INITIALISATION = "INITIALISATION"
 
 
-@dataclass(frozen=True)
+@record
 class LabeledPredicate:
     label: str
     predicate: Predicate
-    loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
+    loc: Loc | None = position()
 
 
 #: Assignment kinds.
@@ -32,7 +34,7 @@ SUCH_THAT = "suchThat"
 ASSIGNMENT_OPERATORS = {DETERMINISTIC: ":=", MEMBER_OF: "::", SUCH_THAT: ":|"}
 
 
-@dataclass(frozen=True)
+@record
 class Assignment:
     """A labeled action.
 
@@ -46,10 +48,10 @@ class Assignment:
     kind: str
     targets: tuple[str, ...]
     rhs: Formula
-    loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
+    loc: Loc | None = position()
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """Links a disappearing abstract parameter or post-state variable to
     concrete terms.  The subject is an unprimed identifier for a
@@ -57,7 +59,7 @@ class Witness:
 
     subject: Ident
     predicate: Predicate
-    loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
+    loc: Loc | None = position()
 
 
 #: Hint kinds.
@@ -65,7 +67,7 @@ USE_HYPOTHESIS = "useHypothesis"
 SPLIT_CASE = "splitCase"
 
 
-@dataclass(frozen=True)
+@record
 class Hint:
     """A proof hint attached to an event.
 
@@ -79,10 +81,10 @@ class Hint:
     target: str
     label: str | None = None
     predicate: Predicate | None = None
-    loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
+    loc: Loc | None = position()
 
 
-@dataclass(frozen=True)
+@record
 class Event:
     name: str
     refines: tuple[str, ...] = ()
@@ -92,15 +94,15 @@ class Event:
     witnesses: tuple[Witness, ...] = ()
     actions: tuple[Assignment, ...] = ()
     hints: tuple[Hint, ...] = ()
-    loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
-    parameter_locs: tuple[Loc, ...] = field(default=(), kw_only=True, compare=False, repr=False)
+    loc: Loc | None = position()
+    parameter_locs: tuple[Loc, ...] = position(())
 
     @property
     def is_initialisation(self) -> bool:
         return self.name == INITIALISATION
 
 
-@dataclass(frozen=True)
+@record
 class Machine:
     name: str
     refines: str | None = None
@@ -110,9 +112,9 @@ class Machine:
     theorems: tuple[LabeledPredicate, ...] = ()
     events: tuple[Event, ...] = ()
     initialisation: Event | None = None
-    loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
-    path: str | None = field(default=None, kw_only=True, compare=False, repr=False)
-    variable_locs: tuple[Loc, ...] = field(default=(), kw_only=True, compare=False, repr=False)
+    loc: Loc | None = position()
+    path: str | None = position()
+    variable_locs: tuple[Loc, ...] = position(())
 
     def event(self, name: str) -> Event | None:
         for e in self.events:
@@ -126,7 +128,7 @@ class Machine:
         return replace(self, events=events, initialisation=init)
 
 
-@dataclass(frozen=True)
+@record
 class Context:
     name: str
     extends: str | None = None
@@ -134,13 +136,13 @@ class Context:
     constants: tuple[str, ...] = ()
     axioms: tuple[LabeledPredicate, ...] = ()
     theorems: tuple[LabeledPredicate, ...] = ()
-    loc: Loc | None = field(default=None, kw_only=True, compare=False, repr=False)
-    path: str | None = field(default=None, kw_only=True, compare=False, repr=False)
-    set_locs: tuple[Loc, ...] = field(default=(), kw_only=True, compare=False, repr=False)
-    constant_locs: tuple[Loc, ...] = field(default=(), kw_only=True, compare=False, repr=False)
+    loc: Loc | None = position()
+    path: str | None = position()
+    set_locs: tuple[Loc, ...] = position(())
+    constant_locs: tuple[Loc, ...] = position(())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Model:
     """A machine bundled with everything it can see.
 
@@ -211,14 +213,14 @@ class Model:
 # --- sequents and obligations ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Hypothesis:
     label: str
     predicate: Predicate
     selected: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class Sequent:
     hypotheses: tuple[Hypothesis, ...]
     goal: Predicate
@@ -266,7 +268,7 @@ KIND_WFIS = "WFIS"
 KIND_MRG = "MRG"
 
 
-@dataclass(frozen=True)
+@record
 class ProofObligation:
     """``hint`` is the hint still to apply: on an INV obligation from
     `generate`, the first hint of its event that targets its invariant;
@@ -280,7 +282,7 @@ class ProofObligation:
     hint: Hint | None = None
 
 
-@dataclass(frozen=True)
+@record
 class PoSet:
     source_machine: str
     obligations: tuple[ProofObligation, ...]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import replace
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, TypeVar
@@ -71,6 +70,7 @@ from .model import (
     USE_HYPOTHESIS,
     Witness,
 )
+from .record import replace
 
 KEYWORDS = frozenset(
     """machine refines sees variables invariants theorems events event

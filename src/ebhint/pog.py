@@ -22,7 +22,6 @@ builds only the obligations named ``{owner}/...``, which is how
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .formula import (
@@ -57,9 +56,10 @@ from .model import (
     ProofObligation,
     Sequent,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class BaConjunct:
     """One conjunct of an event's before-after predicate.
 

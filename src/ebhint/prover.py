@@ -50,7 +50,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .diagnostics import Diagnostic
@@ -91,20 +90,21 @@ from .model import (
     USE_HYPOTHESIS,
 )
 from .printer import print_formula, print_hint
+from .record import record, replace
 
 PROVED = "proved"
 UNPROVED = "unproved"
 UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
+@record
 class ProveOptions:
     lasso: bool = False
     all_hyps: bool = False
     timeout_ms: int = 2000
 
 
-@dataclass(frozen=True)
+@record
 class TraceStep:
     tactic: str
     detail: str = ""
@@ -113,14 +113,14 @@ class TraceStep:
         return f"{self.tactic}({self.detail})" if self.detail else self.tactic
 
 
-@dataclass(frozen=True)
+@record
 class Decision:
     status: str
     reason: str
     counterexample: tuple[tuple[str, int], ...] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ProofResult:
     name: str
     kind: str

@@ -3,7 +3,11 @@ with a `--json` report, and `ebhint pos --hint-mode pog --format json` on it.
 
     python tests/scale_probe.py [--seed N] [--repeat K]
 
-Writes big1, the first machine of `frontend_corpus(seed)` in
+First prints one line for startup: the best and median wall time of
+LAUNCHES fresh launches of `python -c "import ebhint, ebhint.cli"`, and
+of `python -c pass` for the interpreter alone, launched in turn.  Every
+`ebhint` command pays that import, and the benchmark's `setup_s` scales
+with it.  Then writes big1, the first machine of `frontend_corpus(seed)` in
 `bench/gen.py` (seed 101 by default; 20 variables, 50 invariants and 50
 events, 2,500 INV obligations), to a temporary directory and runs
 `ebhint prove` on it in-process, K times per mode (3 by default), then
@@ -37,6 +41,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -61,6 +68,7 @@ COUNTED = {
     "_eliminate": "eliminations",
 }
 POOL_SEEDS = (101, 107)
+LAUNCHES = 15
 
 
 @contextlib.contextmanager
@@ -111,6 +119,23 @@ def decide_pool(sequents: list) -> float:
     return time.perf_counter() - start
 
 
+def startup() -> str:
+    """Best and median wall time of LAUNCHES launches of each startup
+    command, the two launched in turn."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    codes = {"import ebhint, ebhint.cli": [], "pass": []}
+    for _ in range(LAUNCHES):
+        for code, times in codes.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            times.append(time.perf_counter() - start)
+    return "; ".join(
+        f"python -c {code!r}: best {min(times) * 1000:.1f} ms, median {statistics.median(times) * 1000:.1f} ms"
+        for code, times in codes.items()
+    )
+
+
 def run(args: list[str]) -> tuple[float, str]:
     """Wall time and stdout of one in-process `ebhint` command."""
     out = io.StringIO()
@@ -128,6 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
+    print(f"scale probe startup ({LAUNCHES} launches): {startup()}")
     case = gen.frontend_corpus(args.seed)[0]
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in case.files.items():

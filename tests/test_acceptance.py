@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -27,6 +26,7 @@ from ebhint.prover import (
     tactic_select,
     worst_status,
 )
+from ebhint.record import replace
 from oracle import grid_counterexample, holds_at
 from strategies import (
     random_machine_source,

@@ -1,5 +1,5 @@
 """Every name a module of the package imports, and every private name
-it defines, is used there.
+it defines, is used there; and none imports ``dataclasses``.
 
 No linter runs with the tests, and an import or a helper left behind by
 a deleted code path is easy to miss in review.
@@ -54,3 +54,13 @@ def test_no_unused_private_names(path):
     loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     unused = _private_definitions(tree) - loaded
     assert not unused, f"{path.name} defines but never uses {sorted(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """Records come from `ebhint.record`; ``dataclasses`` would bring
+    back its import-time code generation, which every command pays."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "dataclasses" not in modules, f"{path.name} imports dataclasses"

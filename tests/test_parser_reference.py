@@ -5,8 +5,6 @@ every source location."""
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +12,7 @@ from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS
 from ebhint.diagnostics import Diagnostic
 from ebhint.formula import BINARY, NOT_LEVEL, Loc
 from ebhint.parser import ParseError, Parser, Token, lex, parse_predicate, parse_source
+from ebhint.record import fields, replace
 
 # --- the reference lexer -------------------------------------------------------
 
@@ -149,10 +148,10 @@ class ReferenceParser(Parser):
 def shape(value):
     """``value`` with every field spelled out, source locations and paths
     included, which ``==`` on trees and models leaves out."""
-    if is_dataclass(value):
-        return (type(value).__name__, tuple(shape(getattr(value, f.name)) for f in fields(value)))
-    if isinstance(value, tuple) and not isinstance(value, Loc):
-        return tuple(shape(v) for v in value)
+    if isinstance(value, tuple):
+        return value if isinstance(value, Loc) else tuple(shape(v) for v in value)
+    if hasattr(value, "_fields"):  # a record
+        return (type(value).__name__, tuple(shape(getattr(value, name)) for name in fields(value)))
     return value
 
 
@@ -289,6 +288,16 @@ def test_sources_match_the_reference():
         for variant in (text, text.replace("\n", "\r\n"), text.rstrip("\n"), text.replace("    ", "\t")):
             assert_same(variant)
         assert outcome(parse_source, text)[0] == "ok"
+
+
+def test_shape_tells_apart_parses_that_differ_only_in_positions():
+    one = parse_source("machine m\nvariables x\ninvariants\n  i1: x > 0\nend\n")
+    moved = parse_source("machine m\nvariables  x\ninvariants\n  i1:  x > 0\nend\n")
+    elsewhere = replace(one, path="b.ebh")
+    assert one == moved == elsewhere
+    assert shape(one) != shape(moved)
+    assert shape(one) != shape(elsewhere)
+    assert shape(parse_predicate("x > 0")) != shape(parse_predicate(" x > 0"))
 
 
 def test_every_alias_and_blank_matches_the_reference():

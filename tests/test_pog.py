@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +30,7 @@ from ebhint.pog import (
 )
 from ebhint.printer import pretty_print, print_formula
 from ebhint.prover import apply_hints_pog, case_sequents, prove_obligation
+from ebhint.record import replace
 from ebhint.wellformed import wellformed
 
 

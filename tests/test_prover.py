@@ -7,7 +7,6 @@ import random
 import signal
 import sys
 import time
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -37,6 +36,7 @@ from ebhint.prover import (
     tactic_lasso,
     tactic_select,
 )
+from ebhint.record import replace
 from oracle import grid_counterexample, holds_at
 from strategies import random_sequent, sequents
 

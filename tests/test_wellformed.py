@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ from conftest import FIXTURE_FILES, FIXTURES
 from ebhint.formula import Loc
 from ebhint.model import Context, Machine, Model
 from ebhint.parser import load_model, parse_source
+from ebhint.record import replace
 from ebhint.wellformed import check_new_events, wellformed
 
 
