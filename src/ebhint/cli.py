@@ -6,17 +6,19 @@
     ebhint export-smt FILE PO_NAME  print one obligation as SMT-LIB 2
 
 Exit codes: 0 success (and, for prove, everything proved), 1 semantic
-problems or unproved obligations, 2 unreadable input.
+problems or unproved obligations, 2 unreadable input or a usage error.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
+import os
+import sys
 import time
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .diagnostics import Diagnostic
@@ -29,20 +31,14 @@ from .record import replace
 from .smtlib import export_smt
 from .wellformed import check_new_events, wellformed
 
-_HINT_MODE = click.option(
-    "--hint-mode",
-    type=click.Choice(["tactic", "pog"]),
-    default="tactic",
-    show_default=True,
-    help="Apply hints as prover tactics or by rewriting the obligations.",
-)
+_echo = functools.partial(print, flush=True)  # so that stdout and stderr keep their order in one file
 
 
 def _load(path: str, loader: Loader | None = None) -> tuple[Model | None, list[Diagnostic]]:
     try:
         model, diags = load_model(path, loader)
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     if model is not None:
         extra = wellformed(model) + check_new_events(model)
@@ -60,18 +56,13 @@ class _Quoted(dict):
         return quoted
 
 
-def _report_diagnostics(diags: list[Diagnostic]) -> None:
-    for d in diags:
-        click.echo(d.render())
-
-
 def _obligations(path: str, hint_mode: str, owner: str | None = None) -> PoSet:
     """The obligations of the file's machine, or only those of ``owner``
     (see `generate`); in pog mode rewritten by their hints, with the
     hint diagnostics of the whole set on stderr."""
     model, diags = _load(path)
     if diags:
-        _report_diagnostics(diags)
+        _echo("\n".join(d.render() for d in diags))
         raise SystemExit(1)
     assert model is not None
     poset = generate(model, owner)
@@ -84,19 +75,11 @@ def _obligations(path: str, hint_mode: str, owner: str | None = None) -> PoSet:
             # initialisation's can miss theirs.
             hint_diags = apply_hints_pog(generate(model, INITIALISATION))[1] + hint_diags
         for d in hint_diags:  # they point into the machine's own file
-            click.echo(replace(d, path=model.machine.path).render(), err=True)
+            _echo(replace(d, path=model.machine.path).render(), file=sys.stderr)
     return poset
 
 
-@click.group()
-@click.version_option(__version__, prog_name="ebhint")
-def main() -> None:
-    """A miniature verifier for hint-annotated machine models."""
-
-
-@main.command()
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-def check(files: tuple[str, ...]) -> None:
+def check(files: list[str]) -> None:
     """Parse FILES and report well-formedness problems.
 
     A file that another one refines is checked with it, so each problem
@@ -112,21 +95,10 @@ def check(files: tuple[str, ...]) -> None:
             key = (d.path and Path(d.path).resolve(), d.loc, d.code, d.message)
             if key not in printed:
                 printed.add(key)
-                click.echo(d.render())
+                _echo(d.render())
     raise SystemExit(1 if failed else 0)
 
 
-@main.command()
-@click.argument("file", type=click.Path())
-@_HINT_MODE
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json"]),
-    default="text",
-    show_default=True,
-    help="Output format.",
-)
 def pos(file: str, hint_mode: str, fmt: str) -> None:
     """List the proof obligations of FILE.
 
@@ -150,7 +122,7 @@ def pos(file: str, hint_mode: str, fmt: str) -> None:
             selected = " ".join(sequent.selected_labels())
             lines += (f"  selected: {selected or '(none)'}", f"  goal: {goal}")
         if lines:
-            click.echo("\n".join(lines))
+            _echo("\n".join(lines))
         return
     quote = encode_basestring_ascii
     labels = _Quoted()
@@ -172,28 +144,9 @@ def pos(file: str, hint_mode: str, fmt: str) -> None:
         out += (',\n      "hintApplied": ', hint, "\n    }")
         opener = ',\n    {\n      "name": '
     out.append("\n  ]\n}" if poset.obligations else "]\n}")
-    click.echo("".join(out))
+    _echo("".join(out))
 
 
-@main.command()
-@click.argument("file", type=click.Path())
-@_HINT_MODE
-@click.option("--lasso", is_flag=True, help="Grow selections to their identifier closure.")
-@click.option("--all-hyps", is_flag=True, help="Select every hypothesis.")
-@click.option(
-    "--timeout-ms",
-    type=click.IntRange(min=1),
-    default=ProveOptions.timeout_ms,
-    show_default=True,
-    help="Prover budget per obligation.",
-)
-@click.option(
-    "--json",
-    "json_path",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="Also write a JSON report to this file.",
-)
 def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: int, json_path: str | None) -> None:
     """Prove the obligations of FILE, honouring its hints."""
     poset = _obligations(file, hint_mode)
@@ -204,16 +157,13 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
         start = time.perf_counter()
         result = prove_obligation(po, options=options, memo=memo)
         results.append((result, (time.perf_counter() - start) * 1000.0))
-        click.echo(f"{result.status.upper()} {result.name}")
+        _echo(f"{result.status.upper()} {result.name}")
 
     total = len(results)
     proved = sum(1 for r, _ in results if r.status == PROVED)
     unproved = sum(1 for r, _ in results if r.status == UNPROVED)
     unsupported = total - proved - unproved
-    click.echo(
-        f"summary: {total} obligations, {proved} proved, "
-        f"{unproved} unproved, {unsupported} unsupported"
-    )
+    _echo(f"summary: {total} obligations, {proved} proved, {unproved} unproved, {unsupported} unsupported")
 
     if json_path is not None:
         report = {
@@ -231,40 +181,90 @@ def prove(file: str, hint_mode: str, lasso: bool, all_hyps: bool, timeout_ms: in
                 }
                 for r, ms in results
             ],
-            "summary": {
-                "total": total,
-                "proved": proved,
-                "unproved": unproved,
-                "unsupported": unsupported,
-            },
+            "summary": {"total": total, "proved": proved, "unproved": unproved, "unsupported": unsupported},
         }
         try:
             Path(json_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", file=sys.stderr)
             raise SystemExit(2)
 
     raise SystemExit(0 if proved == total else 1)
 
 
-@main.command("export-smt")
-@click.argument("file", type=click.Path())
-@click.argument("po_name")
-@_HINT_MODE
-@click.option(
-    "--respect-selection",
-    is_flag=True,
-    help="Assert only the selected hypotheses.",
-)
 def export_smt_command(file: str, po_name: str, hint_mode: str, respect_selection: bool) -> None:
     """Print one obligation of FILE as an SMT-LIB 2 script."""
     poset = _obligations(file, hint_mode, owner=po_name.partition("/")[0])
     po = poset.get(po_name)
     if po is None:
-        click.echo(f"error: no obligation named {po_name!r}; try 'ebhint pos'", err=True)
+        _echo(f"error: no obligation named {po_name!r}; try 'ebhint pos'", file=sys.stderr)
         raise SystemExit(1)
-    click.echo(export_smt(po, respect_selection=respect_selection), nl=False)
+    _echo(export_smt(po, respect_selection=respect_selection), end="")
 
+
+
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options, and ``--help`` without ``-h``; subcommands too."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+
+def _timeout(text: str) -> int:
+    if not text.strip().lstrip("+").isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return int(text)
+
+
+def _report_path(text: str) -> str:
+    if os.path.isdir(text) or (os.path.exists(text) and not os.access(text, os.W_OK)):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory or not writable")  # before any proving
+    return text
+
+
+@functools.cache  # built once per process
+def _parser() -> _Parser:
+    parser = _Parser(prog="ebhint", description="A miniature verifier for hint-annotated machine models.")
+    parser.add_argument("--version", action="version", version=f"ebhint, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, function, *positionals: str, hint_mode: bool = True) -> _Parser:
+        sub = commands.add_parser(name, help=function.__doc__.partition("\n")[0], description=function.__doc__)
+        sub.set_defaults(command=function)
+        for positional in positionals:
+            sub.add_argument(positional.lower(), metavar=positional)
+        if hint_mode:
+            sub.add_argument("--hint-mode", choices=["tactic", "pog"], default="tactic",
+                             help="Apply hints as prover tactics or by rewriting the obligations (default: tactic).")
+        return sub
+
+    command("check", check, hint_mode=False).add_argument("files", nargs="+", metavar="FILES")
+    command("pos", pos, "FILE").add_argument("--format", dest="fmt", choices=["text", "json"], default="text",
+                                             help="Output format (default: text).")
+    sub = command("prove", prove, "FILE")
+    sub.add_argument("--lasso", action="store_true", help="Grow selections to their identifier closure.")
+    sub.add_argument("--all-hyps", action="store_true", help="Select every hypothesis.")
+    sub.add_argument("--timeout-ms", type=_timeout, default=ProveOptions.timeout_ms, metavar="N",
+                     help="Prover budget per obligation (default: %(default)s).")
+    sub.add_argument("--json", dest="json_path", type=_report_path, metavar="FILE", help="Also write a JSON report.")
+    command("export-smt", export_smt_command, "FILE", "PO_NAME").add_argument(
+        "--respect-selection", action="store_true", help="Assert only the selected hypotheses.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names; return 0 when it returns."""
+    args = vars(_parser().parse_args(argv))  # a usage error raises SystemExit(2), as a command may
+    try:
+        args.pop("command")(**args)
+    except BrokenPipeError:  # the reader closed stdout early: send the rest, also at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
+    return 0
+
+
+main.main = lambda args, **_: main(args)  # bench/run.py's click-style call, until ROADMAP direction 1 drops it
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import types
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from ebhint.cli import main
 
@@ -23,10 +25,47 @@ MODELS = Path(__file__).resolve().parent / "models"
 
 MODEL_FILES = ("gen_abstract.ebh", "gen_concrete.ebh")
 
+# A `use` hint on the initialisation that names an invariant it cannot
+# see: in pog mode `pos`, `prove` and `export-smt` report it on stderr.
+USE_ON_INITIALISATION = (
+    "machine use1\nvariables x y\ninvariants\n  i1: x in NAT\n  i2: y in NAT\nevents\n"
+    "  initialisation\n  then\n    a1: x := 0\n    a2: y := 0\n"
+    "  hints\n    use i2 for i1\n  end\n"
+    "  event step\n  then\n    a1: x := x + 1\n  end\nend\n"
+)
 
-def run_cli(*args: str):
-    """Invoke the CLI in-process and return the click result."""
-    return CliRunner().invoke(main, list(args))
+
+class _Copied(io.StringIO):
+    """One stream of a command, each write also made to ``merged``."""
+
+    def __init__(self, merged: io.StringIO) -> None:
+        super().__init__()
+        self.merged = merged
+
+    def write(self, text: str) -> int:
+        self.merged.write(text)
+        return super().write(text)
+
+
+def run_cli(*args: str) -> types.SimpleNamespace:
+    """Run one command in-process.  The result's ``output`` holds stdout
+    and stderr in the order they were written (``stdout`` and ``stderr``
+    each alone); ``exit_code`` comes from a SystemExit and is 0 when the
+    command returns; ``exception`` is the SystemExit or any other
+    exception raised, which is recorded, not raised (exit code 1)."""
+    output = io.StringIO()
+    out, err = _Copied(output), _Copied(output)
+    exit_code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            exit_code, exception = exc.code if isinstance(exc.code, int) else int(exc.code is not None), exc
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    return types.SimpleNamespace(
+        output=output.getvalue(), stdout=out.getvalue(), stderr=err.getvalue(), exit_code=exit_code, exception=exception
+    )
 
 
 def statuses_from(output: str) -> dict[str, str]:

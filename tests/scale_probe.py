@@ -142,7 +142,7 @@ def run(args: list[str]) -> tuple[float, str]:
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         try:
-            ebhint.main(args=args, prog_name="ebhint", standalone_mode=False)
+            ebhint(args)
         except SystemExit:  # 1 when an obligation stays unproved
             pass
     return time.perf_counter() - start, out.getvalue()

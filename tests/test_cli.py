@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS, run_cli, statuses_from
+from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS, USE_ON_INITIALISATION, run_cli, statuses_from
 import ebhint
 from ebhint import cli, parser, prover
 from ebhint.printer import print_formula
@@ -298,8 +298,8 @@ def assert_escaped(text: str) -> None:
 
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory) -> dict[str, str]:
-    """big8 and chain_3 of `bench/gen.py`'s `frontend_corpus(101)`, and
-    `NON_ASCII`, as files."""
+    """big1, big8 and chain_3 of `bench/gen.py`'s `frontend_corpus(101)`,
+    and `NON_ASCII`, as files."""
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave bench/ as it is
     sys.path.insert(0, str(BENCH))
     try:
@@ -310,7 +310,7 @@ def generated(tmp_path_factory) -> dict[str, str]:
     root = tmp_path_factory.mktemp("frontend")
     paths = {}
     for case in gen.frontend_corpus(101):
-        if case.target in ("big8.ebh", "chain_3.ebh"):
+        if case.target in ("big1.ebh", "big8.ebh", "chain_3.ebh"):
             for name, text in case.files.items():
                 (root / name).write_text(text, encoding="utf-8")
             paths[case.target] = str(root / case.target)
@@ -323,7 +323,7 @@ def _stdout(*args: str) -> str:
     """The stdout of one in-process `ebhint` command that exits 0."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main.main(args=list(args), prog_name="ebhint", standalone_mode=False)
+        cli.main(list(args))
     return out.getvalue()
 
 
@@ -638,14 +638,6 @@ def test_export_smt_unknown_obligation():
     assert "no obligation named" in result.output
 
 
-USE_ON_INITIALISATION = (
-    "machine use1\nvariables x y\ninvariants\n  i1: x in NAT\n  i2: y in NAT\nevents\n"
-    "  initialisation\n  then\n    a1: x := 0\n    a2: y := 0\n"
-    "  hints\n    use i2 for i1\n  end\n"
-    "  event step\n  then\n    a1: x := x + 1\n  end\nend\n"
-)
-
-
 def test_export_smt_prints_the_initialisations_hint_diagnostics(tmp_path):
     # the initialisation cannot see invariant i2; exporting another
     # event's obligation still reports that, as `pos` and `prove` do
@@ -715,15 +707,63 @@ def test_version_flag():
     assert "0.1.0" in result.output
 
 
-def test_version_flag_without_installation():
-    # README's `PYTHONPATH=src python -m ebhint.cli --version`, from the repository root
+def _launch(*args: str) -> subprocess.Popen:
+    """`PYTHONPATH=src python -m ebhint.cli ARGS...`, from the repository root."""
     root = Path(ebhint.__file__).resolve().parents[2]
-    done = subprocess.run(
-        [sys.executable, "-m", "ebhint.cli", "--version"],
+    return subprocess.Popen(
+        [sys.executable, "-m", "ebhint.cli", *args],
         cwd=root,
         env=dict(os.environ, PYTHONPATH="src"),
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=60,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, f"ebhint, version {ebhint.__version__}\n", "")
+
+
+def test_version_flag_without_installation():
+    # README's `PYTHONPATH=src python -m ebhint.cli --version`, from the repository root
+    stdout, stderr = (child := _launch("--version")).communicate(timeout=60)
+    assert (child.returncode, stdout, stderr) == (0, f"ebhint, version {ebhint.__version__}\n", "")
+
+
+HYPSEL0 = str(FIXTURES / "hypSel0.ebh")
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["bogus"],
+    "check-without-files": ["check"],
+    "prove-without-file": ["prove"],
+    "timeout-0": ["prove", HYPSEL0, "--timeout-ms", "0"],
+    "timeout-x": ["prove", HYPSEL0, "--timeout-ms", "x"],
+    "hint-mode-bogus": ["prove", HYPSEL0, "--hint-mode", "bogus"],
+    "format-xml": ["pos", HYPSEL0, "--format", "xml"],
+    "abbreviated-option": ["prove", HYPSEL0, "--time", "5"],
+}
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_two(args):
+    stdout, stderr = (child := _launch(*args)).communicate(timeout=60)
+    assert (child.returncode, stdout) == (2, "")
+    assert stderr and "Traceback" not in stderr
+    result = run_cli(*args)
+    assert (result.exit_code, result.stdout) == (2, "")
+
+
+def test_report_into_a_directory_is_a_usage_error(tmp_path):
+    stdout, stderr = (child := _launch("prove", HYPSEL0, "--json", str(tmp_path))).communicate(timeout=60)
+    assert (child.returncode, stdout) == (2, "")  # before any obligation is proved
+    assert stderr and "Traceback" not in stderr
+    result = run_cli("prove", HYPSEL0, "--json", str(tmp_path))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closing_stdout_early_is_quiet(generated):
+    # big1's listing (1.37 MB) outgrows a pipe's buffer, so writing it
+    # meets the closed end
+    with _launch("pos", generated["big1.ebh"], "--format", "json") as child:
+        assert child.stdout.readline() == "{\n"
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.wait(timeout=60)
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

@@ -22,20 +22,28 @@ from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS
 PATHS = [str(FIXTURES / name) for name in FIXTURE_FILES] + [str(MODELS / name) for name in MODEL_FILES]
 
 RUN_ALL = """
-import json, re, sys, tempfile
+import contextlib, io, json, re, sys, tempfile
 from pathlib import Path
-from click.testing import CliRunner
 from ebhint.cli import main
+
+def run(args):  # the exit code, and stdout and stderr in the order written
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, output.getvalue()
 
 out = {}
 with tempfile.TemporaryDirectory() as work:
     report = Path(work) / "report.json"
     for path in sys.argv[1:]:
         for mode in ("tactic", "pog"):
-            pos = CliRunner().invoke(main, ["pos", path, "--hint-mode", mode, "--format", "json"])
-            prove = CliRunner().invoke(main, ["prove", path, "--hint-mode", mode, "--json", str(report)])
+            pos = run(["pos", path, "--hint-mode", mode, "--format", "json"])
+            prove = run(["prove", path, "--hint-mode", mode, "--json", str(report)])
             blanked = re.sub(r'"durationMillis": [^,\\n]+', '"durationMillis": null', report.read_text())
-            out[path + " " + mode] = [pos.exit_code, pos.output, prove.exit_code, prove.output, blanked]
+            out[path + " " + mode] = [*pos, *prove, blanked]
 print(json.dumps(out, indent=1))
 """
 

@@ -1,5 +1,6 @@
 """Every name a module of the package imports, and every private name
-it defines, is used there; and none imports ``dataclasses``.
+it defines, is used there; none imports ``dataclasses``, and none
+imports a module outside the standard library.
 
 No linter runs with the tests, and an import or a helper left behind by
 a deleted code path is easy to miss in review.
@@ -8,6 +9,7 @@ a deleted code path is easy to miss in review.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,13 @@ def test_no_dataclasses(path):
     modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_standard_library_only(path):
+    """`pyproject.toml` lists no runtime dependency."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 0}
+    outside = {m for m in modules if m.partition(".")[0] not in sys.stdlib_module_names | {"__future__"}}
+    assert not outside, f"{path.name} imports {sorted(outside)}"
