@@ -553,9 +553,7 @@ class Loader:
 
     def __init__(self):
         self.parses: dict[Path, tuple[Machine | Context | None, list[Diagnostic]]] = {}
-        # the load in progress: its components by resolved path, and its diagnostics
-        self.cache: dict[Path, Machine | Context | None] = {}
-        self.diagnostics: list[Diagnostic] = []
+        self.diagnostics: list[Diagnostic] = []  # of the load in progress
 
     def parse(self, path: Path, spelling: str) -> tuple[Machine | Context | None, list[Diagnostic]]:
         """The file's component and parse diagnostics, carrying
@@ -569,20 +567,6 @@ class Loader:
             component = replace(component, path=spelling)
         return component, [replace(d, path=spelling) for d in diags]
 
-    def parse_file(self, path: Path) -> Machine | Context | None:
-        path = path.resolve()
-        if path in self.cache:
-            return self.cache[path]
-        try:
-            component, diags = self.parse(path, str(path))
-        except OSError as e:
-            self.diagnostics.append(_ref_diag("unresolved-reference", str(e), str(path)))
-            self.cache[path] = None
-            return None
-        self.diagnostics.extend(diags)
-        self.cache[path] = component
-        return component
-
     def resolve(self, directory: Path, name: str, want: type, referrer: str) -> Machine | Context | None:
         target = directory / f"{name}.ebh"
         if not target.is_file():
@@ -595,7 +579,12 @@ class Loader:
                 )
             )
             return None
-        component = self.parse_file(target)
+        path = target.resolve()
+        try:
+            component, diags = self.parse(path, str(path))
+        except OSError as e:
+            component, diags = None, [_ref_diag("unresolved-reference", str(e), str(path))]
+        self.diagnostics.extend(diags)
         if component is None:
             return None
         if not isinstance(component, want):
@@ -630,30 +619,30 @@ class Loader:
             if ctx is None:
                 break
             chain.append(ctx)
-            name, referrer = ctx.extends, str(directory / f"{name}.ebh")
+            name, referrer = ctx.extends, ctx.path
         return chain[::-1]
 
-    def model(self, machine: Machine, directory: Path, referrer: str) -> Model:
+    def model(self, machine: Machine, directory: Path) -> Model:
         """The model of ``machine`` over the machines it refines, up to the
         first one that is circular or does not resolve."""
-        levels = [(machine, referrer)]
+        levels = [machine]
         seen: set[str] = set()  # the machines above the current one
         while machine.refines:
             if machine.refines in seen:
                 self.diagnostics.append(
-                    _ref_diag("circular-reference", f"circular refinement through '{machine.refines}'", referrer)
+                    _ref_diag("circular-reference", f"circular refinement through '{machine.refines}'", machine.path)
                 )
                 break
             seen.add(machine.name)
-            parent = self.resolve(directory, machine.refines, Machine, referrer)
+            parent = self.resolve(directory, machine.refines, Machine, machine.path)
             if parent is None:
                 break
-            machine, referrer = parent, str(directory / f"{machine.refines}.ebh")
-            levels.append((machine, referrer))
+            machine = parent
+            levels.append(machine)
         model: Model | None = None
-        for machine, referrer in reversed(levels):  # the contexts from the most abstract level up
+        for machine in reversed(levels):  # the contexts from the most abstract level up
             contexts: list[Context] = list(model.contexts) if model else []
-            for ctx in self.context_chain(directory, machine.sees, referrer):
+            for ctx in self.context_chain(directory, machine.sees, machine.path):
                 if all(c.name != ctx.name for c in contexts):
                     contexts.append(ctx)
             model = Model(machine, tuple(contexts), model)
@@ -677,10 +666,11 @@ def load_model(path: str | Path, loader: Loader | None = None) -> tuple[Model | 
     component, diags = loader.parse(p, str(p))
     if component is None:
         return None, diags
-    loader.cache, loader.diagnostics = {p.resolve(): component}, []
+    loader.diagnostics = []
     if isinstance(component, Context):
         chain = loader.context_chain(p.parent, component.extends, str(p)) + [component]
         model = Model(Machine(name=component.name), tuple(chain), None)
     else:
-        model = loader.model(component, p.parent, str(p))
-    return (None if loader.diagnostics else model), loader.diagnostics
+        model = loader.model(component, p.parent)
+    diags = list(dict.fromkeys(loader.diagnostics))  # each once: two levels can walk one chain
+    return (None if diags else model), diags

@@ -133,17 +133,12 @@ class _Checker:
             self.report("type-error", msg, f.loc)
 
 
-def _set_typed(levels: list[Model]) -> set[str]:
+def _set_typed(model: Model) -> set[str]:
     """The constants used as a membership container: they are set-typed
     everywhere."""
     out: set[str] = set()
-    formulas: list[Formula] = []
-    seen: set[str] = set()
-    for level in levels:
-        for ctx in level.contexts:
-            if ctx.name not in seen:
-                seen.add(ctx.name)
-                formulas += [lp.predicate for lp in ctx.axioms + ctx.theorems]
+    formulas = [lp.predicate for lp in model.context_axioms() + model.context_theorems()]
+    for level in model.levels():
         m = level.machine
         formulas += [lp.predicate for lp in m.invariants + m.theorems]
         for e in m.events + ((m.initialisation,) if m.initialisation else ()):
@@ -402,13 +397,12 @@ def _check_machine(checker: _Checker, model: Model) -> None:
             checker.report("duplicate-identifier", f"variable {v!r} shadows a context identifier", loc)
         seen_vars.add(v)
 
-    fact_labels = {lp.label for lp in model.context_axioms() + model.context_theorems()}
-    if model.abstract:
-        for lp in model.abstract.machine.invariants + model.abstract.machine.theorems:
-            fact_labels.add(lp.label)
+    own = m.invariants + m.theorems
+    facts = list(model.visible_facts())
+    fact_labels = {lp.label for lp in facts[: len(facts) - len(own)]}  # own facts come last
     inv_scope = _ints(ctx_env, model.abstract_variables() + m.variables)
     own_labels: set[str] = set()
-    for lp in m.invariants + m.theorems:
+    for lp in own:
         if lp.label in own_labels:
             checker.report("duplicate-label", f"duplicate label {lp.label!r}", lp.loc)
         elif lp.label in fact_labels:
@@ -430,20 +424,16 @@ def _check_machine(checker: _Checker, model: Model) -> None:
 def wellformed(model: Model) -> list[Diagnostic]:
     """Check a model and everything it sees or refines.
 
+    ``model.contexts`` holds every level's contexts, base first, as
+    `load_model` builds it; each is checked once, after those before it.
     Returns diagnostics sorted by source position; an empty list means
     the model is well-formed.
     """
-    levels = list(model.levels())
-    checker = _Checker(_set_typed(levels))
-    checked: set[str] = set()
-    for level in levels:
-        inherited: list[Context] = []
-        for ctx in level.contexts:
-            if ctx.name not in checked:
-                checked.add(ctx.name)
-                checker.path = ctx.path
-                _check_context(checker, ctx, tuple(inherited))
-            inherited.append(ctx)
+    checker = _Checker(_set_typed(model))
+    for i, ctx in enumerate(model.contexts):
+        checker.path = ctx.path
+        _check_context(checker, ctx, model.contexts[:i])
+    for level in model.levels():
         checker.path = level.machine.path
         _check_machine(checker, level)
     return sorted(checker.diagnostics, key=sort_key)

@@ -35,6 +35,27 @@ USE_ON_INITIALISATION = (
 )
 
 
+# Problems in the extends chain of a context ``c`` that both levels of
+# `two_levels_see_c` see, by code: the text of ``d.ebh`` (None: no such
+# file) and the rendered diagnostic, which names ``c.ebh``.
+CHAIN_PROBLEMS = {
+    "name-mismatch": ("context e\nend\n", "name-mismatch: d.ebh declares 'e', expected 'd'"),
+    "unresolved-reference": (None, "unresolved-reference: cannot resolve context 'd': no file d.ebh next to it"),
+}
+
+
+def two_levels_see_c(directory: Path, context: str = "context c extends d\nend\n", d: str | None = None) -> Path:
+    """Write ``m1.ebh``, which refines ``m0`` and sees ``c`` as ``m0``
+    does, with ``context`` as ``c.ebh`` and ``d`` as ``d.ebh``; return
+    the path of ``m1.ebh``."""
+    (directory / "m0.ebh").write_text("machine m0 sees c\nevents\nend\n")
+    (directory / "m1.ebh").write_text("machine m1 refines m0 sees c\nevents\nend\n")
+    (directory / "c.ebh").write_text(context)
+    if d is not None:
+        (directory / "d.ebh").write_text(d)
+    return directory / "m1.ebh"
+
+
 class _Copied(io.StringIO):
     """One stream of a command, each write also made to ``merged``."""
 

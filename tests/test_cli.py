@@ -14,7 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_FILES, FIXTURES, MODEL_FILES, MODELS, USE_ON_INITIALISATION, run_cli, statuses_from
+from conftest import (
+    CHAIN_PROBLEMS,
+    FIXTURE_FILES,
+    FIXTURES,
+    MODEL_FILES,
+    MODELS,
+    USE_ON_INITIALISATION,
+    run_cli,
+    statuses_from,
+    two_levels_see_c,
+)
 import ebhint
 from ebhint import cli, parser, prover
 from ebhint.printer import print_formula
@@ -184,6 +194,39 @@ def test_check_parses_each_file_of_a_chain_once(monkeypatch, tmp_path):
         assert run_cli("check", *map(str, order)).exit_code == 0
         assert sorted(Path(path).resolve() for path in parsed) == sorted(f.resolve() for f in files)
 
+
+LOAD_COMMANDS = [["check"], ["pos"], ["prove"], ["export-smt", "x"]]
+
+
+@pytest.mark.parametrize("command", LOAD_COMMANDS, ids=lambda command: command[0])
+@pytest.mark.parametrize("code", CHAIN_PROBLEMS)
+def test_a_chain_problem_two_levels_see_is_printed_once(tmp_path, code, command):
+    d, rendered = CHAIN_PROBLEMS[code]
+    top = two_levels_see_c(tmp_path, d=d)
+    result = run_cli(command[0], str(top), *command[1:])
+    assert (result.exit_code, result.output) == (1, f"{tmp_path.resolve() / 'c.ebh'}: {rendered}\n")
+
+
+@pytest.mark.parametrize("command", LOAD_COMMANDS, ids=lambda command: command[0])
+def test_a_referring_file_is_named_by_its_absolute_path(monkeypatch, tmp_path, command):
+    """From a relative FILE, a reference problem raised in a file that
+    FILE refines, sees or extends names that file absolutely; one raised
+    in FILE names it as written."""
+    monkeypatch.chdir(tmp_path)
+    here = tmp_path.resolve()
+    expected = {
+        "m1.ebh": f"{here / 'c.ebh'}: {CHAIN_PROBLEMS['name-mismatch'][1]}",
+        "m.ebh": f"{here / 'b.ebh'}: circular-reference: circular refinement through 'a'",
+        "lone.ebh": "lone.ebh: unresolved-reference: cannot resolve machine 'ghost': no file ghost.ebh next to it",
+    }
+    two_levels_see_c(Path("."), d=CHAIN_PROBLEMS["name-mismatch"][0])
+    Path("m.ebh").write_text("machine m refines a\nevents\nend\n")
+    Path("a.ebh").write_text("machine a refines b\nevents\nend\n")
+    Path("b.ebh").write_text("machine b refines a\nevents\nend\n")
+    Path("lone.ebh").write_text("machine lone refines ghost\nevents\nend\n")
+    for path, line in expected.items():
+        result = run_cli(command[0], path, *command[1:])
+        assert (result.exit_code, result.output) == (1, line + "\n")
 
 
 # deeper than Python's recursion limit: loading must not recurse per level

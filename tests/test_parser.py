@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from conftest import FIXTURE_FILES, FIXTURES
+from conftest import CHAIN_PROBLEMS, FIXTURE_FILES, FIXTURES, two_levels_see_c
 from ebhint.formula import (
     Add,
     And,
@@ -406,6 +406,20 @@ def test_load_model_circular_extends_chain(tmp_path):
     assert model is None
     assert [(d.code, d.message) for d in diags] == [("circular-reference", "circular extends chain through 'c1'")]
     assert diags[0].path == str(tmp_path / "c2.ebh")
+
+
+@pytest.mark.parametrize("code", CHAIN_PROBLEMS)
+def test_load_model_reports_a_chain_problem_two_levels_see_once(tmp_path, code):
+    d, rendered = CHAIN_PROBLEMS[code]
+    model, diags = load_model(two_levels_see_c(tmp_path, d=d))
+    assert model is None
+    assert [diag.render() for diag in diags] == [f"{tmp_path.resolve() / 'c.ebh'}: {rendered}"]
+
+
+def test_load_model_reports_a_syntax_error_two_levels_see_once(tmp_path):
+    model, diags = load_model(two_levels_see_c(tmp_path, "context c\naxioms\n  ax1: 1 +\nend\n"))
+    assert model is None
+    assert [(d.code, d.path, d.loc) for d in diags] == [("syntax", str(tmp_path.resolve() / "c.ebh"), Loc(4, 1))]
 
 
 def test_load_model_missing_file_raises_oserror(tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_FILES, FIXTURES
+from conftest import FIXTURE_FILES, FIXTURES, two_levels_see_c
 from ebhint.formula import Loc
 from ebhint.model import Context, Machine, Model
 from ebhint.parser import load_model, parse_source
@@ -247,6 +247,15 @@ def test_check_new_events_checks_every_level_in_order():
     ]
 
 
+def test_a_context_both_levels_see_is_checked_once(tmp_path):
+    top = two_levels_see_c(tmp_path, "context c\nconstants k\naxioms\n  ax1: k = 1\n  ax1: k = 2\nend\n")
+    model, diags = load_model(top)
+    assert diags == [] and model is not None
+    assert [d.render() for d in wellformed(model)] == [
+        f"{tmp_path.resolve() / 'c.ebh'}:5:3: duplicate-label: duplicate label 'ax1'"
+    ]
+
+
 def test_diagnostics_independent_of_declaration_order():
     first = (
         "machine m\nvariables x\ninvariants\n  i1: x = ghost\n  i2: y' = 0\nevents\nend\n"
@@ -348,6 +357,10 @@ DIAGNOSTICS = [
     ]),
     ("duplicate-label invariant", _machine("", "  ax1: x in NAT\n"), {"sees": CONTEXT_K}, [
         "<model>:4:3: duplicate-label: label 'ax1' collides with a visible fact",
+    ]),
+    ("duplicate-label abstract invariant", _machine("", "  j1: x in NAT\n"),
+     {"refines": "machine a\nvariables x\ninvariants\n  j1: x in NAT\nevents\nend\n"}, [
+        "<model>:4:3: duplicate-label: label 'j1' collides with a visible fact",
     ]),
     ("duplicate-variable", _machine("", variables="x x"), {}, [
         "<model>:2:13: duplicate-variable: duplicate variable 'x'",
