@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import sys
 import types
 from pathlib import Path
 
@@ -24,6 +25,27 @@ FIXTURE_FILES = (
 MODELS = Path(__file__).resolve().parent / "models"
 
 MODEL_FILES = ("gen_abstract.ebh", "gen_concrete.ebh")
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_gen() -> types.ModuleType:
+    """`bench/gen.py`, imported without writing bytecode into bench/."""
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(BENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = dont_write
+    return gen
+
+
+def contexts_nest(model) -> bool:
+    """Whether each level's contexts begin with those of the level it
+    refines, as `wellformed`'s single pass over the levels needs."""
+    levels = list(model.levels())
+    return all(upper.contexts[: len(lower.contexts)] == lower.contexts for upper, lower in zip(levels, levels[1:]))
 
 # A `use` hint on the initialisation that names an invariant it cannot
 # see: in pog mode `pos`, `prove` and `export-smt` report it on stderr.
@@ -54,6 +76,42 @@ def two_levels_see_c(directory: Path, context: str = "context c extends d\nend\n
     if d is not None:
         (directory / "d.ebh").write_text(d)
     return directory / "m1.ebh"
+
+
+# Models whose levels see different scopes, by case: the files, the one
+# to load, and the one diagnostic it has, which names a referenced file.
+SCOPE_CASES = {
+    # a name an extended context declares is redeclared two contexts up
+    "redeclared-up-the-chain": (
+        {
+            "c0.ebh": "context c0\nconstants k\nend\n",
+            "c1.ebh": "context c1 extends c0\nend\n",
+            "c2.ebh": "context c2 extends c1\nconstants k\nend\n",
+            "m.ebh": "machine m sees c2\nevents\nend\n",
+        },
+        "m.ebh",
+        "c2.ebh:2:11: duplicate-identifier: duplicate declaration of 'k'",
+    ),
+    # the abstract machine does not see the context its refinement sees
+    "abstract-level-sees-less": (
+        {
+            "c.ebh": "context c\nconstants k\nend\n",
+            "m0.ebh": "machine m0\nvariables x\ninvariants\n  i1: x = k\nevents\nend\n",
+            "m1.ebh": "machine m1 refines m0 sees c\nvariables x\nevents\nend\n",
+        },
+        "m1.ebh",
+        "m0.ebh:4:11: unknown-identifier: unknown identifier 'k'",
+    ),
+}
+
+
+def write_scope_case(directory: Path, case: str) -> tuple[Path, str]:
+    """Write the files of ``SCOPE_CASES[case]``; return the path to load
+    and its rendered diagnostic."""
+    files, top, rendered = SCOPE_CASES[case]
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    return directory / top, f"{directory.resolve() / rendered}"
 
 
 class _Copied(io.StringIO):

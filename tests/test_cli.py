@@ -17,16 +17,21 @@ import pytest
 from conftest import (
     CHAIN_PROBLEMS,
     FIXTURE_FILES,
+    SCOPE_CASES,
     FIXTURES,
     MODEL_FILES,
     MODELS,
     USE_ON_INITIALISATION,
+    bench_gen,
+    contexts_nest,
     run_cli,
     statuses_from,
     two_levels_see_c,
+    write_scope_case,
 )
 import ebhint
 from ebhint import cli, parser, prover
+from ebhint.parser import load_model
 from ebhint.printer import print_formula
 
 REPORT_KEYS = ["machine", "mode", "obligations", "summary"]
@@ -229,6 +234,13 @@ def test_a_referring_file_is_named_by_its_absolute_path(monkeypatch, tmp_path, c
         assert (result.exit_code, result.output) == (1, line + "\n")
 
 
+@pytest.mark.parametrize("case", SCOPE_CASES)
+def test_check_checks_each_level_against_its_own_scope(tmp_path, case):
+    top, rendered = write_scope_case(tmp_path, case)
+    result = run_cli("check", str(top))
+    assert (result.exit_code, result.output) == (1, rendered + "\n")
+
+
 # deeper than Python's recursion limit: loading must not recurse per level
 DEEP = sys.getrecursionlimit() + 200
 
@@ -241,6 +253,7 @@ def test_check_deep_extends_chain(tmp_path):
     path.write_text(f"machine m sees c{DEEP - 1}\nvariables x\ninvariants\n  i1: x = k0\nevents\nend\n")
     result = run_cli("check", str(path))
     assert (result.exit_code, result.output) == (0, ""), repr(result.exception)
+    assert contexts_nest(load_model(path)[0])
 
 
 def test_prove_deep_refinement_chain(tmp_path):
@@ -254,6 +267,7 @@ def test_prove_deep_refinement_chain(tmp_path):
     )
     result = run_cli("prove", str(path))
     assert (result.exit_code, result.output) == (0, "PROVED INITIALISATION/i1/INV\nsummary: 1 obligations, 1 proved, 0 unproved, 0 unsupported\n"), repr(result.exception)
+    assert contexts_nest(load_model(path)[0])
 
 # --- pos -----------------------------------------------------------------------
 
@@ -307,8 +321,6 @@ def test_pos_json_pog_mode_marks_hints():
 
 # --- the pos listing writer ----------------------------------------------------
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
 POS_INPUTS = (
     *(str(FIXTURES / name) for name in FIXTURE_FILES),
     *(str(MODELS / name) for name in MODEL_FILES),
@@ -343,13 +355,7 @@ def assert_escaped(text: str) -> None:
 def generated(tmp_path_factory) -> dict[str, str]:
     """big1, big8 and chain_3 of `bench/gen.py`'s `frontend_corpus(101)`,
     and `NON_ASCII`, as files."""
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave bench/ as it is
-    sys.path.insert(0, str(BENCH))
-    try:
-        import gen
-    finally:
-        sys.path.remove(str(BENCH))
-        sys.dont_write_bytecode = dont_write
+    gen = bench_gen()
     root = tmp_path_factory.mktemp("frontend")
     paths = {}
     for case in gen.frontend_corpus(101):

@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from conftest import CHAIN_PROBLEMS, FIXTURE_FILES, FIXTURES, two_levels_see_c
+from conftest import (
+    CHAIN_PROBLEMS,
+    FIXTURE_FILES,
+    FIXTURES,
+    MODELS,
+    bench_gen,
+    contexts_nest,
+    two_levels_see_c,
+)
 from ebhint.formula import (
     Add,
     And,
@@ -420,6 +428,20 @@ def test_load_model_reports_a_syntax_error_two_levels_see_once(tmp_path):
     model, diags = load_model(two_levels_see_c(tmp_path, "context c\naxioms\n  ax1: 1 +\nend\n"))
     assert model is None
     assert [(d.code, d.path, d.loc) for d in diags] == [("syntax", str(tmp_path.resolve() / "c.ebh"), Loc(4, 1))]
+
+
+def test_each_level_sees_the_contexts_of_the_level_it_refines_first(tmp_path):
+    gen = bench_gen()
+    paths = [FIXTURES / name for name in FIXTURE_FILES] + sorted(MODELS.glob("*.ebh"))
+    for i, case in enumerate(gen.frontend_corpus(101) + gen.models_corpus(101, 45)):
+        directory = tmp_path / str(i)
+        directory.mkdir()
+        for name, text in case.files.items():
+            (directory / name).write_text(text, encoding="utf-8")
+            paths.append(directory / name)
+    for path in paths:
+        model, diags = load_model(path)
+        assert diags == [] and contexts_nest(model), path
 
 
 def test_load_model_missing_file_raises_oserror(tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_FILES, FIXTURES, two_levels_see_c
+from conftest import FIXTURE_FILES, FIXTURES, SCOPE_CASES, two_levels_see_c, write_scope_case
 from ebhint.formula import Loc
 from ebhint.model import Context, Machine, Model
 from ebhint.parser import load_model, parse_source
@@ -254,6 +254,16 @@ def test_a_context_both_levels_see_is_checked_once(tmp_path):
     assert [d.render() for d in wellformed(model)] == [
         f"{tmp_path.resolve() / 'c.ebh'}:5:3: duplicate-label: duplicate label 'ax1'"
     ]
+
+
+@pytest.mark.parametrize("case", SCOPE_CASES)
+def test_each_level_is_checked_against_its_own_scope(tmp_path, case):
+    """A context sees the names of every context before it, and a machine
+    only the contexts of its own level."""
+    top, rendered = write_scope_case(tmp_path, case)
+    model, diags = load_model(top)
+    assert diags == [] and model is not None
+    assert [d.render() for d in wellformed(model)] == [rendered]
 
 
 def test_diagnostics_independent_of_declaration_order():
