@@ -640,12 +640,11 @@ class Loader:
             machine = parent
             levels.append(machine)
         model: Model | None = None
+        contexts: dict[str, Context] = {}  # by name, the first kept
         for machine in reversed(levels):  # the contexts from the most abstract level up
-            contexts: list[Context] = list(model.contexts) if model else []
             for ctx in self.context_chain(directory, machine.sees, machine.path):
-                if all(c.name != ctx.name for c in contexts):
-                    contexts.append(ctx)
-            model = Model(machine, tuple(contexts), model)
+                contexts.setdefault(ctx.name, ctx)
+            model = Model(machine, tuple(contexts.values()), model)
         assert model is not None
         return model
 

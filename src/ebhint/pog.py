@@ -246,11 +246,11 @@ def generate(model: Model, owner: str | None = None) -> PoSet:
     facts = _hyps(model.visible_facts())
     init_facts = _hyps(model.context_axioms() + model.context_theorems())  # no pre-state
     pos: list[ProofObligation] = []
-    before: tuple[Hypothesis, ...] = ()
+    before: list[Hypothesis] = []
     for ctx in model.contexts:  # each context sees the axioms and theorems of its chain so far
         before += _hyps(ctx.axioms, True)
-        if owner in (None, ctx.name):
-            pos.extend(_theorem_pos(before, ctx.theorems, ctx.name))
+        if ctx.theorems and owner in (None, ctx.name):
+            pos.extend(_theorem_pos(tuple(before), ctx.theorems, ctx.name))
         before += _hyps(ctx.theorems, True)
     if owner in (None, m.name):
         selected = _hyps(model.visible_facts(), True)  # these end in the machine's theorems

@@ -152,25 +152,15 @@ def _set_typed(model: Model) -> set[str]:
     return out
 
 
-def _context_env(checker: _Checker, contexts: tuple[Context, ...]) -> dict[str, str]:
-    env: dict[str, str] = {}
-    for ctx in contexts:
-        for s in ctx.sets:
-            env[s] = SET
-        for k in ctx.constants:
-            env[k] = SET if k in checker.set_typed else INT
-    return env
-
-
-def _check_context(checker: _Checker, ctx: Context, inherited: tuple[Context, ...]) -> None:
-    env = _context_env(checker, inherited + (ctx,))
-    names_seen: set[str] = {name for c in inherited for name in c.sets + c.constants}
+def _check_context(checker: _Checker, ctx: Context, env: dict[str, str], labels: set[str]) -> None:
+    """Check ``ctx`` against ``env`` and ``labels``, the scope and the
+    labels of the contexts before it, and add its own to them."""
     # a model built without the names' positions reports at its header
-    for name, loc in zip_longest(ctx.sets + ctx.constants, ctx.set_locs + ctx.constant_locs, fillvalue=ctx.loc):
-        if name in names_seen:
+    names = ctx.sets + ctx.constants
+    for i, (name, loc) in enumerate(zip_longest(names, ctx.set_locs + ctx.constant_locs, fillvalue=ctx.loc)):
+        if name in env:
             checker.report("duplicate-identifier", f"duplicate declaration of {name!r}", loc)
-        names_seen.add(name)
-    labels: set[str] = {lp.label for c in inherited for lp in c.axioms + c.theorems}
+        env[name] = SET if i < len(ctx.sets) or name in checker.set_typed else INT
     for lp in ctx.axioms + ctx.theorems:
         if lp.label in labels:
             checker.report("duplicate-label", f"duplicate label {lp.label!r}", lp.loc)
@@ -385,9 +375,8 @@ def _check_hints(
             checker.want(h.predicate, BOOL, scope, "case predicate")
 
 
-def _check_machine(checker: _Checker, model: Model) -> None:
+def _check_machine(checker: _Checker, model: Model, ctx_env: dict[str, str]) -> None:
     m = model.machine
-    ctx_env = _context_env(checker, model.contexts)
 
     seen_vars: set[str] = set()
     for v, loc in zip_longest(m.variables, m.variable_locs, fillvalue=m.loc):
@@ -424,18 +413,24 @@ def _check_machine(checker: _Checker, model: Model) -> None:
 def wellformed(model: Model) -> list[Diagnostic]:
     """Check a model and everything it sees or refines.
 
-    ``model.contexts`` holds every level's contexts, base first, as
-    `load_model` builds it; each is checked once, after those before it.
-    Returns diagnostics sorted by source position; an empty list means
-    the model is well-formed.
+    Each level's ``contexts`` must begin with the contexts of the level
+    it refines, as `load_model` builds them.  One pass from the most
+    abstract level up checks each level's new contexts against the
+    scope of those before them, then the level's machine against the
+    scope of its own contexts.  Returns diagnostics sorted by source
+    position; an empty list means the model is well-formed.
     """
     checker = _Checker(_set_typed(model))
-    for i, ctx in enumerate(model.contexts):
-        checker.path = ctx.path
-        _check_context(checker, ctx, model.contexts[:i])
-    for level in model.levels():
+    env: dict[str, str] = {}  # the scope of the contexts checked so far
+    labels: set[str] = set()
+    done = 0
+    for level in reversed(list(model.levels())):
+        for ctx in level.contexts[done:]:
+            checker.path = ctx.path
+            _check_context(checker, ctx, env, labels)
+        done = len(level.contexts)
         checker.path = level.machine.path
-        _check_machine(checker, level)
+        _check_machine(checker, level, env)
     return sorted(checker.diagnostics, key=sort_key)
 
 

@@ -21,7 +21,7 @@ for `prove --json`: the best wall time and the number of records in the
 report; then one line for `pos`: the best wall time and the number of
 obligations it listed.  Then one line per n in
 SHIFTED: the best of K wall times of `decide` on the valid
-`x in {0..n-1} |- x + 1 in {1..n}`, and its status.  Last, one line for
+`x in {0..n-1} |- x + 1 in {1..n}`, and its status.  Then one line for
 the `decide` pools of POOL_SEEDS (`gen.PINNED` plus
 `gen.random_sequents(seed, 2000, 8)` each, as in the benchmark's
 `decide` workload): the number of calls, their summed `visited`
@@ -29,8 +29,11 @@ the `decide` pools of POOL_SEEDS (`gen.PINNED` plus
 a short sha256 digest of each call's status, reason, counterexample and
 `visited`, and the best of K wall times of deciding the whole pool.  The
 digest does not depend on PYTHONHASHSEED, so two versions of the prover
-that search alike print the same one.  Reports only, and asserts
-nothing.  Standard library and `bench/gen.py` only; not a test
+that search alike print the same one.  Last, one line for a machine
+that sees an `extends` chain of n one-constant contexts, n in CHAIN:
+the best of K wall times of `load_model`, `wellformed` and `generate`
+on it for each n; each should grow linearly in n.  Reports only, and
+asserts nothing.  Standard library and `bench/gen.py` only; not a test
 module.
 """
 
@@ -54,7 +57,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 sys.dont_write_bytecode = True  # leave bench/ as it is
 
 import gen  # noqa: E402
-from ebhint import parse_predicate, prover  # noqa: E402
+from ebhint import generate, load_model, parse_predicate, prover, wellformed  # noqa: E402
 from ebhint.cli import main as ebhint  # noqa: E402
 
 MODES = {"default": [], "--all-hyps": ["--all-hyps"]}
@@ -68,6 +71,7 @@ COUNTED = {
     "_eliminate": "eliminations",
 }
 POOL_SEEDS = (101, 107)
+CHAIN = (2000, 4000)
 LAUNCHES = 15
 
 
@@ -117,6 +121,29 @@ def decide_pool(sequents: list) -> float:
     for hyps, goal in sequents:
         prover.decide(hyps, goal)
     return time.perf_counter() - start
+
+
+def chain_times(directory: Path, n: int, repeat: int) -> list[float]:
+    """Best of ``repeat`` wall times of `load_model`, `wellformed` and
+    `generate` on a machine that sees a chain of ``n`` contexts, each with
+    one constant and one axiom, written to ``directory``."""
+    for i in range(n):
+        extends = f" extends c{i - 1}" if i else ""
+        text = f"context c{i}{extends}\nconstants k{i}\naxioms\n  ax{i}: k{i} >= 0\nend\n"
+        (directory / f"c{i}.ebh").write_text(text, encoding="utf-8")
+    path = directory / "m.ebh"
+    path.write_text(f"machine m sees c{n - 1}\nvariables x\ninvariants\n  i1: x = k0\nevents\nend\n", encoding="utf-8")
+    best = [float("inf")] * 3
+    for _ in range(repeat):
+        times = [time.perf_counter()]
+        model, _ = load_model(path)
+        times.append(time.perf_counter())
+        wellformed(model)
+        times.append(time.perf_counter())
+        generate(model)
+        times.append(time.perf_counter())
+        best = [min(b, end - start) for b, start, end in zip(best, times, times[1:])]
+    return best
 
 
 def startup() -> str:
@@ -201,6 +228,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"scale probe decide pools {', '.join(map(str, POOL_SEEDS))}: {len(calls)} calls, "
           f"{sum(call[3] for call in calls)} visited, digest {digest}, "
           f"{best:.3f} s (best of {args.repeat})")
+    times = []
+    for n in CHAIN:
+        with tempfile.TemporaryDirectory() as tmp:
+            times.append(chain_times(Path(tmp), n, args.repeat))
+    print(f"scale probe extends chain of {', '.join(map(str, CHAIN))} contexts: "
+          + "; ".join(f"{name} {', '.join(f'{t:.3f}' for t in column)} s"
+                      for name, column in zip(("load", "wellformed", "generate"), zip(*times)))
+          + f" (best of {args.repeat})")
     return 0
 
 
