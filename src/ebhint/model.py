@@ -146,12 +146,11 @@ class Context:
 class Model:
     """A machine bundled with everything it can see.
 
-    ``contexts`` is the flattened visibility chain, base first; it
-    begins with the ``contexts`` of ``abstract``, the model of the
-    refined machine, when any, as `load_model` builds it and
-    `wellformed` relies on.  A
-    refines chain can be deeper than the recursion limit, so equality,
-    hashing and ``repr`` loop over `levels` instead of recursing.
+    ``contexts`` is the flattened visibility chain, base first, and
+    begins with the contexts of ``abstract``, the model of the refined
+    machine, when any (`load_model` builds it so; `wellformed` relies on
+    it).  A refines chain can be deeper than the recursion limit, so
+    equality, hashing and ``repr`` loop over `levels` instead of recursing.
     """
 
     machine: Machine

@@ -136,7 +136,7 @@ def chain_times(directory: Path, n: int, repeat: int) -> list[float]:
     best = [float("inf")] * 3
     for _ in range(repeat):
         times = [time.perf_counter()]
-        model, _ = load_model(path)
+        model = load_model(path)[0]
         times.append(time.perf_counter())
         wellformed(model)
         times.append(time.perf_counter())
